@@ -3,9 +3,9 @@
 // PR 2's sharded ball cache assumed a frozen graph; under streaming edge
 // updates the naive way to stay correct is to clear() the whole cache on
 // every update, which throws away every ball the update did NOT touch.
-// The reverse-reachability index (ShardedBallCache::bind_dynamic_graph)
-// instead invalidates exactly the balls containing an updated endpoint,
-// so a warm cache survives churn.
+// Surgical invalidation (ShardedBallCache::bind_dynamic_graph: one BFS
+// from the endpoints per update) instead invalidates exactly the balls
+// containing an updated endpoint, so a warm cache survives churn.
 //
 // Two stacks over the same base graph, same seed batch, same update
 // stream:

@@ -1,17 +1,37 @@
 // Micro-benchmarks (google-benchmark) for the kernels every experiment is
 // built from: BFS ball extraction, the graph-diffusion kernel, selection,
-// aggregation, and the simulated accelerator — per paper graph G1–G3.
+// aggregation, and the simulated accelerator — per paper graph G1–G3, plus
+// G4 amazon and G5 dblp for extraction, whose CSRs outgrow the caches.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "common.hpp"
 #include "graph/bfs.hpp"
+#include "graph/dynamic_graph.hpp"
+#include "graph/update_streams.hpp"
 #include "ppr/diffusion.hpp"
 #include "ppr/diffusion_kernels.hpp"
 
 namespace meloppr::bench {
 namespace {
 
+/// Paper graph G(index + 1). G1–G3 (0–2) serve every kernel; G4 amazon
+/// and G5 dblp (3, 4) only the extraction rows. Each group is built on
+/// first use, so a filtered run skips the large graphs.
 const graph::Graph& cached_graph(int index) {
+  if (index >= 3) {
+    static const std::vector<graph::Graph> large = [] {
+      Rng rng(bench_rng_seed());
+      std::vector<graph::Graph> out;
+      for (graph::PaperGraphId id :
+           {graph::PaperGraphId::kG4Amazon, graph::PaperGraphId::kG5Dblp}) {
+        out.push_back(graph::make_paper_graph(id, rng, bench_scale()));
+      }
+      return out;
+    }();
+    return large[static_cast<std::size_t>(index - 3)];
+  }
   static const std::vector<graph::Graph> graphs = [] {
     Rng rng(bench_rng_seed());
     std::vector<graph::Graph> out;
@@ -23,28 +43,68 @@ const graph::Graph& cached_graph(int index) {
   return graphs[static_cast<std::size_t>(index)];
 }
 
-void BM_ExtractBall(benchmark::State& state) {
-  const graph::Graph& g = cached_graph(static_cast<int>(state.range(0)));
-  const auto radius = static_cast<unsigned>(state.range(1));
+/// Seeds the extraction rows rotate through: enough that the balls' CSR
+/// rows do not all stay cached between visits.
+std::vector<graph::NodeId> extraction_seeds(const graph::Graph& g) {
   Rng rng(7);
   std::vector<graph::NodeId> seeds;
-  for (int i = 0; i < 64; ++i) {
+  for (int i = 0; i < 4000; ++i) {
     seeds.push_back(graph::random_seed_node(g, rng));
   }
+  return seeds;
+}
+
+template <typename Extract>
+void run_extraction(benchmark::State& state,
+                    const std::vector<graph::NodeId>& seeds,
+                    Extract extract) {
   std::size_t i = 0;
   std::size_t nodes = 0;
   for (auto _ : state) {
-    const graph::Subgraph ball =
-        graph::extract_ball(g, seeds[i++ % seeds.size()], radius);
+    const graph::Subgraph ball = extract(seeds[i++ % seeds.size()]);
     nodes += ball.num_nodes();
     benchmark::DoNotOptimize(ball);
   }
   state.counters["ball_nodes/iter"] = benchmark::Counter(
       static_cast<double>(nodes), benchmark::Counter::kAvgIterations);
 }
+
+void BM_ExtractBall(benchmark::State& state) {
+  const graph::Graph& g = cached_graph(static_cast<int>(state.range(0)));
+  const auto radius = static_cast<unsigned>(state.range(1));
+  run_extraction(state, extraction_seeds(g), [&](graph::NodeId seed) {
+    return graph::extract_ball(g, seed, radius);
+  });
+}
 BENCHMARK(BM_ExtractBall)
     ->ArgsProduct({{0, 1, 2}, {3, 6}})
+    ->Args({3, 3})
+    ->Args({4, 3})
     ->Unit(benchmark::kMicrosecond);
+
+/// G4 amazon under a 2k-update recommender-churn overlay (below the
+/// compaction threshold, so extraction merges overlay rows).
+void BM_DynamicExtractBall(benchmark::State& state) {
+  const graph::Graph& g = cached_graph(3);
+  static const std::unique_ptr<graph::DynamicGraph> dyn = [&] {
+    auto out = std::make_unique<graph::DynamicGraph>(g);
+    graph::UpdateStreamConfig ucfg;
+    ucfg.count = 2000;
+    Rng rng(bench_rng_seed() ^ 0xd1);
+    for (const graph::EdgeUpdate& u : graph::make_update_stream(
+             g, graph::UpdateWorkload::kRecommenderChurn, ucfg, rng)) {
+      out->apply(u);
+    }
+    return out;
+  }();
+  const auto radius = static_cast<unsigned>(state.range(0));
+  run_extraction(state, extraction_seeds(g), [&](graph::NodeId seed) {
+    return dyn->extract_ball(seed, radius);
+  });
+  state.counters["delta_half_edges"] =
+      static_cast<double>(dyn->delta_edges());
+}
+BENCHMARK(BM_DynamicExtractBall)->Arg(3)->Unit(benchmark::kMicrosecond);
 
 void BM_Diffusion(benchmark::State& state) {
   const graph::Graph& g = cached_graph(static_cast<int>(state.range(0)));

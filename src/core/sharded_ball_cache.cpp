@@ -61,61 +61,44 @@ void ShardedBallCache::bind_dynamic_graph(graph::DynamicGraph& dyn) {
   MELO_CHECK(dynamic_ == nullptr);
   dynamic_ = &dyn;
   listener_id_ = dyn.add_update_listener(
-      [this](const graph::EdgeUpdate& update, std::uint64_t version) {
-        invalidate_edge(update, version);
+      [this](const graph::EdgeUpdate& update, std::uint64_t version,
+             const graph::DynamicGraph::View& before) {
+        invalidate_edge(update, version, before);
       });
 }
 
-void ShardedBallCache::index_ball(Shard& shard, const BallKey& key,
-                                  const graph::Subgraph& ball) {
-  for (const graph::NodeId global : ball.local_to_global()) {
-    shard.reverse_index[global].insert(key);
+void ShardedBallCache::invalidate_edge(
+    const graph::EdgeUpdate& update, std::uint64_t version,
+    const graph::DynamicGraph::View& before) {
+  // Residents: u ∈ B(w, r) iff dist(w, u) ≤ r, and every resident ball is
+  // current — it reflects `before` exactly. So the balls containing an
+  // endpoint are exactly the keys (w, r) with r ≥ dist(w, {u, v}), and no
+  // resident radius exceeds max_radius_. Probe those keys, shard by shard.
+  const unsigned max_radius = max_radius_.load();
+  std::vector<std::vector<BallKey>> probes(shards_.size());
+  for (const graph::DynamicGraph::Reached& reached :
+       before.within(update.u, update.v, max_radius)) {
+    for (unsigned radius = reached.hops; radius <= max_radius; ++radius) {
+      const BallKey key{reached.node, radius};
+      probes[shard_index(key)].push_back(key);
+    }
   }
-  reverse_index_entries_.fetch_add(ball.num_nodes(),
-                                   std::memory_order_relaxed);
-}
-
-void ShardedBallCache::unindex_ball(Shard& shard, const BallKey& key,
-                                    const graph::Subgraph& ball) {
-  for (const graph::NodeId global : ball.local_to_global()) {
-    const auto it = shard.reverse_index.find(global);
-    if (it == shard.reverse_index.end()) continue;
-    it->second.erase(key);
-    if (it->second.empty()) shard.reverse_index.erase(it);
-  }
-  reverse_index_entries_.fetch_sub(ball.num_nodes(),
-                                   std::memory_order_relaxed);
-}
-
-void ShardedBallCache::invalidate_edge(const graph::EdgeUpdate& update,
-                                       std::uint64_t version) {
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = *shards_[s];
     util::MutexLock lock(shard.mu);
     shard.last_invalidation_version = version;
-    // Residents: the reverse index lists exactly the balls containing an
-    // endpoint — no scan of unaffected entries. A ball containing both
-    // endpoints appears under each; the map re-check makes the second
-    // lookup a no-op.
-    std::vector<BallKey> victims;
-    for (const graph::NodeId endpoint : {update.u, update.v}) {
-      const auto it = shard.reverse_index.find(endpoint);
-      if (it == shard.reverse_index.end()) continue;
-      victims.insert(victims.end(), it->second.begin(), it->second.end());
-    }
-    for (const BallKey& key : victims) {
+    for (const BallKey& key : probes[s]) {
       const auto it = shard.map.find(key);
       if (it == shard.map.end()) continue;
       const Entry& entry = *it->second;
       shard.bytes -= entry.ball_bytes;
       total_bytes_.fetch_sub(entry.ball_bytes, std::memory_order_relaxed);
-      unindex_ball(shard, key, *entry.ball);
       shard.lru.erase(it->second);
       shard.map.erase(it);
       invalidations_.fetch_add(1, std::memory_order_relaxed);
     }
     // Pins: the table is small and bounded, a direct membership scan is
-    // cheaper than indexing it.
+    // cheaper than probing it.
     for (auto it = shard.pinned.begin(); it != shard.pinned.end();) {
       if (it->second.ball->contains(update.u) ||
           it->second.ball->contains(update.v)) {
@@ -144,7 +127,7 @@ std::vector<BallKey> ShardedBallCache::resident_keys() const {
 }
 
 ShardedBallCache::BallPtr ShardedBallCache::peek(const BallKey& key) const {
-  Shard& shard = *shards_[(splitmix64(key.packed()) >> 40) % shards_.size()];
+  Shard& shard = *shards_[shard_index(key)];
   util::MutexLock lock(shard.mu);
   const auto it = shard.map.find(key);
   return it == shard.map.end() ? nullptr : it->second->ball;
@@ -359,7 +342,6 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
             shard.map.emplace(key, shard.lru.begin());
             shard.bytes += incoming;
             total_bytes_.fetch_add(incoming, std::memory_order_relaxed);
-            if (dynamic_ != nullptr) index_ball(shard, key, *ball);
           }
         }
         count_hit(kind, /*deduped=*/false);
@@ -427,6 +409,12 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
   std::uint64_t ball_version = 0;
   try {
     if (dynamic_ != nullptr) {
+      // Raise the invalidation BFS depth before the extraction takes the
+      // graph lock: an update that locks after it then sees this radius.
+      unsigned seen = max_radius_.load();
+      while (radius > seen &&
+             !max_radius_.compare_exchange_weak(seen, radius)) {
+      }
       ball = std::make_shared<const graph::Subgraph>(
           dynamic_->extract_ball(root, radius, &ball_version));
     } else {
@@ -471,9 +459,9 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
     // to checked_version AND no invalidation scan has visited this shard
     // after that — a scan that passed between the probe and this lock
     // could not have seen the entry, so retaining would leave a stale
-    // resident behind. (A scan arriving AFTER the insert finds the entry
-    // in the reverse index and removes it normally.) The caller is still
-    // served: its admission version can't exceed the extraction version.
+    // resident behind. (A scan arriving AFTER the insert probes the entry
+    // and removes it normally.) The caller is still served: its admission
+    // version can't exceed the extraction version.
     const bool retain =
         dynamic_ == nullptr ||
         (fresh && shard.last_invalidation_version <= checked_version);
@@ -508,7 +496,6 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
       shard.map.emplace(key, shard.lru.begin());
       shard.bytes += incoming;
       total_bytes_.fetch_add(incoming, std::memory_order_relaxed);
-      if (dynamic_ != nullptr) index_ball(shard, key, *ball);
     }
   }
   return {std::move(ball), /*hit=*/false, /*deduped=*/false,
@@ -524,7 +511,6 @@ void ShardedBallCache::evict_lru_until_fits(Shard& shard,
     const Entry& victim = shard.lru.back();
     shard.bytes -= victim.ball_bytes;
     total_bytes_.fetch_sub(victim.ball_bytes, std::memory_order_relaxed);
-    if (dynamic_ != nullptr) unindex_ball(shard, victim.key, *victim.ball);
     shard.map.erase(victim.key);
     shard.lru.pop_back();  // pinned readers keep the ball alive via BallPtr
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -582,7 +568,6 @@ void ShardedBallCache::evict(
   for (const auto& it : victims) {
     shard.bytes -= it->ball_bytes;
     total_bytes_.fetch_sub(it->ball_bytes, std::memory_order_relaxed);
-    if (dynamic_ != nullptr) unindex_ball(shard, it->key, *it->ball);
     shard.map.erase(it->key);
     shard.lru.erase(it);  // pinned readers keep the ball alive via BallPtr
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -641,8 +626,6 @@ ShardedBallCache::Stats ShardedBallCache::stats() const {
       extraction_failures_.load(std::memory_order_relaxed);
   s.invalidations = invalidations_.load(std::memory_order_relaxed);
   s.stale_rejects = stale_rejects_.load(std::memory_order_relaxed);
-  s.reverse_index_entries =
-      reverse_index_entries_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -697,18 +680,10 @@ void ShardedBallCache::clear() {
     shard->pinned.clear();
     shard->root_prefetched.clear();
     shard->pin_on_complete.clear();
-    // The reverse index mirrors the residents, so it empties with them;
-    // the gauge drops by exactly this shard's live pairs. NOTE:
-    // last_invalidation_version is deliberately NOT reset — forgetting
-    // that an update happened would let a racing pre-update extraction
-    // slip past the insert-time staleness gate.
-    std::size_t indexed = 0;
-    for (const auto& [vertex, keys] : shard->reverse_index) {
-      indexed += keys.size();
-    }
-    reverse_index_entries_.fetch_sub(indexed, std::memory_order_relaxed);
-    shard->reverse_index.clear();
-    // in_flight is left alone: those extractions complete normally.
+    // last_invalidation_version is deliberately NOT reset — forgetting that
+    // an update happened would let a racing pre-update extraction slip past
+    // the insert-time staleness gate. in_flight is left alone: those
+    // extractions complete normally.
   }
   ewma_ball_bytes_.store(0.0, std::memory_order_relaxed);
   for (std::atomic<double>& ewma : ewma_by_radius_) {

@@ -59,20 +59,25 @@
 //     path) — zero when pinning is on and the pin table has capacity.
 //
 //   * Surgical invalidation (bind_dynamic_graph). Bound to a DynamicGraph,
-//     each shard maintains a reverse-reachability index (vertex → the
-//     cached BallKeys whose ball contains it, updated at insert/evict
-//     under the shard lock). An edge update then invalidates exactly the
-//     resident and pinned balls containing either endpoint — instead of
-//     clear() — inside the graph's update listener, BEFORE the new version
-//     publishes. That ordering plus an insert-time staleness gate (an
+//     an edge update {u, v} invalidates exactly the resident and pinned
+//     balls containing either endpoint — instead of clear() — inside the
+//     graph's update listener, which runs BEFORE the update mutates the
+//     graph and its new version publishes. Residents are found by BFS, not
+//     by an index: u ∈ B(w, r) iff dist(w, u) ≤ r, so one BFS from both
+//     endpoints over the listener's view of the pre-update graph, out to
+//     the largest radius ever extracted, yields every resident key (w, r)
+//     with r ≥ dist(w) — the bookkeeping costs the rare update, not every
+//     miss and eviction. Pins are found by a membership scan of the small
+//     pin table. That ordering plus an insert-time staleness gate (an
 //     extraction that raced an update is served to its caller but never
 //     retained — stale_rejects) yields the serving invariant: every
 //     resident and pinned ball reflects all updates up to the current
-//     graph version, so a query stamped at admission is always served
-//     balls at least as fresh as its stamp. In-flight extractions are
-//     version-stamped; a demand fetch joining one whose result predates
-//     the fetch's min_version re-extracts rather than serve stale state.
-//     Static-mode caches (never bound) pay nothing for any of this.
+//     graph version (which is also what makes the BFS exact), so a query
+//     stamped at admission is always served balls at least as fresh as its
+//     stamp. In-flight extractions are version-stamped; a demand fetch
+//     joining one whose result predates the fetch's min_version
+//     re-extracts rather than serve stale state. Static-mode caches (never
+//     bound) pay nothing for any of this.
 #pragma once
 
 #include <algorithm>
@@ -256,9 +261,6 @@ class ShardedBallCache {
     /// Extractions that raced an update and were served but not retained,
     /// plus stale in-flight joins that re-extracted (dynamic mode).
     std::size_t stale_rejects = 0;
-    /// Live reverse-index (vertex, BallKey) pairs — a gauge, not a
-    /// counter: Σ over resident balls of their node count.
-    std::size_t reverse_index_entries = 0;
     /// Demand hit rate (prefetch traffic excluded).
     [[nodiscard]] double hit_rate() const {
       const std::size_t total = hits + misses;
@@ -326,10 +328,6 @@ class ShardedBallCache {
   /// Stale extractions served-but-not-retained (see Stats::stale_rejects).
   [[nodiscard]] std::size_t stale_rejects() const {
     return stale_rejects_.load();
-  }
-  /// Live reverse-index (vertex, BallKey) pairs (dynamic mode gauge).
-  [[nodiscard]] std::size_t reverse_index_entries() const {
-    return reverse_index_entries_.load(std::memory_order_relaxed);
   }
   /// The bound DynamicGraph's current version (0 when not bound).
   [[nodiscard]] std::uint64_t current_version() const {
@@ -482,13 +480,6 @@ class ShardedBallCache {
     /// root and stage lookahead race on one key.
     std::unordered_map<BallKey, std::size_t, BallKeyHash> pin_on_complete
         MELOPPR_GUARDED_BY(mu);
-    /// Reverse-reachability index (dynamic mode only): vertex → the
-    /// resident BallKeys whose ball contains it. Maintained at
-    /// insert/evict under `mu`; empty when no DynamicGraph is bound, so
-    /// static stacks pay nothing.
-    std::unordered_map<graph::NodeId,
-                       std::unordered_set<BallKey, BallKeyHash>>
-        reverse_index MELOPPR_GUARDED_BY(mu);
     /// Version of the latest update whose invalidation scan visited this
     /// shard. The insert-time staleness gate compares against it: a ball
     /// whose freshness was probed at an older version may have been
@@ -497,10 +488,13 @@ class ShardedBallCache {
     std::uint64_t last_invalidation_version MELOPPR_GUARDED_BY(mu) = 0;
   };
 
-  [[nodiscard]] Shard& shard_for(const BallKey& key) {
+  [[nodiscard]] std::size_t shard_index(const BallKey& key) const {
     // High bits pick the shard; the in-shard map hashes the same mixed word
     // from the low end, so shard choice and bucket choice stay independent.
-    return *shards_[(splitmix64(key.packed()) >> 40) % shards_.size()];
+    return (splitmix64(key.packed()) >> 40) % shards_.size();
+  }
+  [[nodiscard]] Shard& shard_for(const BallKey& key) {
+    return *shards_[shard_index(key)];
   }
 
   void count_hit(FetchKind kind, bool deduped);
@@ -563,22 +557,16 @@ class ShardedBallCache {
                  std::size_t claim_priority, std::uint64_t version)
       MELOPPR_REQUIRES(shard.mu);
 
-  /// Must hold `shard.mu`; dynamic mode only. Adds/removes `key` under
-  /// every member vertex of `ball` in the shard's reverse index.
-  void index_ball(Shard& shard, const BallKey& key,
-                  const graph::Subgraph& ball) MELOPPR_REQUIRES(shard.mu);
-  void unindex_ball(Shard& shard, const BallKey& key,
-                    const graph::Subgraph& ball) MELOPPR_REQUIRES(shard.mu);
-
-  /// The DynamicGraph update listener: removes every resident ball listed
-  /// under either endpoint in the reverse index and every pinned ball
-  /// containing one, and records `version` as each shard's
+  /// The DynamicGraph update listener: removes every resident and pinned
+  /// ball containing either endpoint — residents found by a BFS over
+  /// `before` (the pre-update graph) out to max_radius_, pins by a
+  /// membership scan — and records `version` as each shard's
   /// last_invalidation_version. Runs under the graph's writer lock before
-  /// the version publishes; takes each shard's lock in turn (lock order
-  /// graph → shard, matching nothing that holds a shard lock while taking
-  /// the graph lock).
-  void invalidate_edge(const graph::EdgeUpdate& update,
-                       std::uint64_t version);
+  /// the update mutates the graph; takes each shard's lock in turn (lock
+  /// order graph → shard, matching nothing that holds a shard lock while
+  /// taking the graph lock).
+  void invalidate_edge(const graph::EdgeUpdate& update, std::uint64_t version,
+                       const graph::DynamicGraph::View& before);
 
   const graph::Graph* graph_;
   /// Bound by bind_dynamic_graph; null in static mode.
@@ -605,8 +593,11 @@ class ShardedBallCache {
   std::atomic<std::size_t> extraction_failures_{0};
   std::atomic<std::size_t> invalidations_{0};
   std::atomic<std::size_t> stale_rejects_{0};
-  /// Gauge: live (vertex, BallKey) reverse-index pairs across all shards.
-  std::atomic<std::size_t> reverse_index_entries_{0};
+  /// Largest radius ever extracted in dynamic mode: the depth of the
+  /// invalidation BFS. Raised before each extraction starts, never
+  /// lowered (not even by clear(), which in-flight inserts can outrun), so
+  /// it bounds the radius of every resident and pinned ball.
+  std::atomic<unsigned> max_radius_{0};
   /// Miss-path extraction function; empty → graph::extract_ball. Set
   /// before sharing the cache (not synchronized against fetches).
   Extractor extractor_;

@@ -5,6 +5,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "graph/visit_table.hpp"
 #include "util/assert.hpp"
 
 namespace meloppr::graph {
@@ -20,12 +21,13 @@ Subgraph extract_ball(const Graph& g, NodeId seed, unsigned radius,
                                 " is isolated");
   }
 
-  // BFS with ball-proportional state. `locals` doubles as the BFS queue:
-  // nodes are appended in discovery order and scanned with a cursor.
-  std::unordered_map<NodeId, NodeId> global_to_local;
+  // `locals` doubles as the BFS queue: nodes are appended in discovery
+  // order and scanned with a cursor. The visit table maps each member's
+  // global id to its local id.
+  VisitTable& seen = VisitTable::for_thread(g.num_nodes());
   std::vector<NodeId> locals;           // local -> global
   std::vector<std::uint16_t> depth;     // local -> BFS depth
-  global_to_local.emplace(seed, 0);
+  seen.visit(seed, 0);
   locals.push_back(seed);
   depth.push_back(0);
 
@@ -36,8 +38,7 @@ Subgraph extract_ball(const Graph& g, NodeId seed, unsigned radius,
     const NodeId u_global = locals[cursor];
     for (NodeId w : g.neighbors(u_global)) {
       ++arcs_scanned;
-      if (global_to_local.emplace(w, static_cast<NodeId>(locals.size()))
-              .second) {
+      if (seen.visit(w, static_cast<NodeId>(locals.size()))) {
         locals.push_back(w);
         depth.push_back(static_cast<std::uint16_t>(d + 1));
       }
@@ -47,16 +48,21 @@ Subgraph extract_ball(const Graph& g, NodeId seed, unsigned radius,
   const std::size_t n = locals.size();
 
   // Induced arcs: for each member, keep the neighbors that are members.
-  // Interior nodes keep everything (all their neighbors are in the ball);
-  // frontier nodes get truncated, which diffusion never observes.
+  // Interior nodes keep everything (the BFS expanded them, so all their
+  // neighbors are in the ball); frontier nodes get truncated, which
+  // diffusion never observes. Counting first sizes every array exactly:
+  // Subgraph::bytes() counts capacity, and the cache budgets by it.
   std::vector<std::uint64_t> offsets(n + 1, 0);
   std::vector<std::uint32_t> global_degree(n);
   for (NodeId lu = 0; lu < n; ++lu) {
     const NodeId gu = locals[lu];
     global_degree[lu] = static_cast<std::uint32_t>(g.degree(gu));
-    std::uint64_t kept = 0;
-    for (NodeId gw : g.neighbors(gu)) {
-      if (global_to_local.count(gw) != 0) ++kept;
+    std::uint64_t kept = global_degree[lu];
+    if (depth[lu] >= radius) {
+      kept = 0;
+      for (NodeId gw : g.neighbors(gu)) {
+        if (seen.slot(gw) != kInvalidNode) ++kept;
+      }
     }
     offsets[lu + 1] = offsets[lu] + kept;
   }
@@ -64,8 +70,8 @@ Subgraph extract_ball(const Graph& g, NodeId seed, unsigned radius,
   for (NodeId lu = 0; lu < n; ++lu) {
     std::uint64_t pos = offsets[lu];
     for (NodeId gw : g.neighbors(locals[lu])) {
-      const auto it = global_to_local.find(gw);
-      if (it != global_to_local.end()) targets[pos++] = it->second;
+      const NodeId lw = seen.slot(gw);
+      if (lw != kInvalidNode) targets[pos++] = lw;
     }
     // Local ids are assigned in BFS order, not global order, so the induced
     // adjacency must be re-sorted to satisfy the Subgraph invariant.

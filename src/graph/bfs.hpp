@@ -19,17 +19,19 @@ struct BfsStats {
 };
 
 /// Extracts the induced sub-graph of the depth-`radius` BFS ball around
-/// `seed`. Allocation is proportional to the ball (hash-based visited set),
-/// never to the full graph — the whole point of MeLoPPR is that queries must
-/// not touch O(|V|) state.
+/// `seed`. The ball's arrays are allocated at exactly its size. Global ids
+/// map to local ids through the calling thread's VisitTable
+/// (graph/visit_table.hpp): 8 B × |V| per extracting thread, allocated once
+/// and reused, so one extraction touches only the ball's entries of it.
 ///
 /// Throws std::invalid_argument for an out-of-range or isolated seed.
 Subgraph extract_ball(const Graph& g, NodeId seed, unsigned radius,
                       BfsStats* stats = nullptr);
 
 /// Plain depth-limited BFS returning the global ids reachable within
-/// `radius` (including the seed), in BFS order. Used by tests as an oracle
-/// and by callers that only need reachability.
+/// `radius` (including the seed), in BFS order. Used by callers that only
+/// need reachability, and by tests as an oracle: it stays hash-based on
+/// purpose, independent of extract_ball's visit table.
 std::vector<NodeId> bfs_nodes(const Graph& g, NodeId seed, unsigned radius);
 
 /// Eccentricity-bounded distance: hops from `from` to `to`, or -1 if `to`

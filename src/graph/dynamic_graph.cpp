@@ -5,6 +5,7 @@
 #include <string>
 
 #include "graph/builder.hpp"
+#include "graph/visit_table.hpp"
 
 namespace meloppr::graph {
 namespace {
@@ -63,6 +64,13 @@ std::uint64_t DynamicGraph::apply(const EdgeUpdate& update) {
         std::to_string(update.u) + ", " + std::to_string(update.v) + "}");
   }
 
+  // Listeners (cache invalidation) run BEFORE the mutation, on a view of
+  // the pre-update graph, and before the version bump publishes: a thread
+  // observing version >= next also observes the purged cache.
+  const std::uint64_t next = version_.load(std::memory_order_relaxed) + 1;
+  const View before(*this);
+  for (const ListenerSlot& slot : listeners_) slot.fn(update, next, before);
+
   // Mutate both half-edges. An insert that undoes a prior delete shrinks
   // the overlay instead of growing it, and vice versa.
   const auto apply_half = [&](NodeId from, NodeId to) {
@@ -88,13 +96,8 @@ std::uint64_t DynamicGraph::apply(const EdgeUpdate& update) {
   apply_half(update.v, update.u);
   num_edges_ += update.insert ? 1 : static_cast<std::size_t>(-1);
 
-  const std::uint64_t next = version_.load(std::memory_order_relaxed) + 1;
   history_.push_back({update, next});
   while (history_.size() > config_.history_capacity) history_.pop_front();
-
-  // Listeners (cache invalidation) run BEFORE the version bump publishes:
-  // a thread observing version >= next also observes the purged cache.
-  for (const ListenerSlot& slot : listeners_) slot.fn(update, next);
   version_.store(next, std::memory_order_release);
 
   if (config_.compaction_fraction > 0.0) {
@@ -159,18 +162,14 @@ std::size_t DynamicGraph::degree_locked(NodeId v) const {
   return d;
 }
 
-void DynamicGraph::merged_neighbors_locked(NodeId v,
-                                           std::vector<NodeId>& out) const {
-  out.clear();
+std::span<const NodeId> DynamicGraph::row_locked(
+    NodeId v, std::vector<NodeId>& buf) const {
   const std::span<const NodeId> base = base_.neighbors(v);
   const auto it = deltas_.find(v);
-  if (it == deltas_.end()) {
-    out.assign(base.begin(), base.end());
-    return;
-  }
+  if (it == deltas_.end()) return base;
   const std::vector<NodeId>& added = it->second.added;
   const std::vector<NodeId>& removed = it->second.removed;
-  out.reserve(base.size() + added.size());
+  buf.clear();
   // One sorted pass: base minus removed, merged with added. `removed` is a
   // subset of base and `added` is disjoint from it, so plain merge keeps
   // the output sorted and duplicate-free — the GraphBuilder invariant a
@@ -186,11 +185,12 @@ void DynamicGraph::merged_neighbors_locked(NodeId v,
       continue;
     }
     if (ai >= added.size() || (bi < base.size() && base[bi] < added[ai])) {
-      out.push_back(base[bi++]);
+      buf.push_back(base[bi++]);
     } else {
-      out.push_back(added[ai++]);
+      buf.push_back(added[ai++]);
     }
   }
+  return buf;
 }
 
 Subgraph DynamicGraph::extract_ball(NodeId root, unsigned radius,
@@ -208,60 +208,83 @@ Subgraph DynamicGraph::extract_ball(NodeId root, unsigned radius,
                                 std::to_string(root) + " is isolated");
   }
 
-  // The same BFS as graph::extract_ball, over merged adjacency. Each
-  // member's merged row is computed once and kept — the count and fill
-  // passes below reuse it.
-  std::unordered_map<NodeId, NodeId> global_to_local;
+  // The same BFS and the same count-then-fill passes as
+  // graph::extract_ball, over merged adjacency. Base rows are read in
+  // place; only overlay vertices are merged, into the one reused `buf`.
+  VisitTable& seen = VisitTable::for_thread(num_nodes_);
   std::vector<NodeId> locals;
   std::vector<std::uint16_t> depth;
-  std::vector<std::vector<NodeId>> rows;  // local -> merged adjacency
-  global_to_local.emplace(root, 0);
+  std::vector<NodeId> buf;
+  seen.visit(root, 0);
   locals.push_back(root);
   depth.push_back(0);
 
   for (std::size_t cursor = 0; cursor < locals.size(); ++cursor) {
     const std::uint16_t d = depth[cursor];
     if (d >= radius) continue;
-    rows.resize(locals.size());
-    merged_neighbors_locked(locals[cursor], rows[cursor]);
-    for (NodeId w : rows[cursor]) {
-      if (global_to_local.emplace(w, static_cast<NodeId>(locals.size()))
-              .second) {
+    for (NodeId w : row_locked(locals[cursor], buf)) {
+      if (seen.visit(w, static_cast<NodeId>(locals.size()))) {
         locals.push_back(w);
         depth.push_back(static_cast<std::uint16_t>(d + 1));
       }
     }
   }
   const std::size_t n = locals.size();
-  rows.resize(n);
-  for (NodeId lu = 0; lu < n; ++lu) {
-    // Frontier nodes (depth == radius) were never expanded; fill their rows
-    // now so the induced passes see every member's adjacency.
-    if (rows[lu].empty()) merged_neighbors_locked(locals[lu], rows[lu]);
-  }
 
   std::vector<std::uint64_t> offsets(n + 1, 0);
   std::vector<std::uint32_t> global_degree(n);
   for (NodeId lu = 0; lu < n; ++lu) {
-    global_degree[lu] = static_cast<std::uint32_t>(rows[lu].size());
-    std::uint64_t kept = 0;
-    for (NodeId gw : rows[lu]) {
-      if (global_to_local.count(gw) != 0) ++kept;
+    const std::span<const NodeId> row = row_locked(locals[lu], buf);
+    global_degree[lu] = static_cast<std::uint32_t>(row.size());
+    std::uint64_t kept = row.size();
+    if (depth[lu] >= radius) {  // frontier: keep only member neighbors
+      kept = 0;
+      for (NodeId gw : row) {
+        if (seen.slot(gw) != kInvalidNode) ++kept;
+      }
     }
     offsets[lu + 1] = offsets[lu] + kept;
   }
   std::vector<NodeId> targets(offsets[n]);
   for (NodeId lu = 0; lu < n; ++lu) {
     std::uint64_t pos = offsets[lu];
-    for (NodeId gw : rows[lu]) {
-      const auto it = global_to_local.find(gw);
-      if (it != global_to_local.end()) targets[pos++] = it->second;
+    for (NodeId gw : row_locked(locals[lu], buf)) {
+      const NodeId lw = seen.slot(gw);
+      if (lw != kInvalidNode) targets[pos++] = lw;
     }
     std::sort(targets.begin() + static_cast<std::ptrdiff_t>(offsets[lu]),
               targets.begin() + static_cast<std::ptrdiff_t>(offsets[lu + 1]));
   }
   return Subgraph(std::move(offsets), std::move(targets), std::move(locals),
                   std::move(global_degree), std::move(depth), radius);
+}
+
+std::vector<DynamicGraph::Reached> DynamicGraph::View::within(
+    NodeId a, NodeId b, unsigned radius) const {
+  graph_.assert_held_by_apply();
+  return graph_.within_locked(a, b, radius);
+}
+
+std::vector<DynamicGraph::Reached> DynamicGraph::within_locked(
+    NodeId a, NodeId b, unsigned radius) const {
+  // One BFS seeded with both endpoints at hop 0 gives every vertex its
+  // distance to the nearer one.
+  VisitTable& seen = VisitTable::for_thread(num_nodes_);
+  std::vector<Reached> reached;
+  std::vector<NodeId> buf;
+  for (const NodeId source : {a, b}) {
+    if (seen.visit(source, 0)) reached.push_back({source, 0});
+  }
+  for (std::size_t cursor = 0; cursor < reached.size(); ++cursor) {
+    const Reached from = reached[cursor];  // copy: push_back may reallocate
+    if (from.hops >= radius) continue;
+    for (NodeId w : row_locked(from.node, buf)) {
+      if (seen.visit(w, 0)) {
+        reached.push_back({w, static_cast<std::uint16_t>(from.hops + 1)});
+      }
+    }
+  }
+  return reached;
 }
 
 Graph DynamicGraph::materialize() const {

@@ -22,14 +22,19 @@
 // their whole traversal. An in-flight extraction therefore serializes
 // against updates and owns an exact version stamp — there is no state in
 // which a ball is "half a version". Update listeners (the cache's
-// invalidation hook) run inside apply() under the unique lock BEFORE the
-// version counter is bumped, which yields the serving invariant:
+// invalidation hook) run inside apply() under the unique lock, after the
+// update is validated and BEFORE it mutates anything or the version
+// counter is bumped, which yields the serving invariant:
 //
 //   any thread that observes version() >= V also observes a cache already
 //   purged of every ball invalidated by updates <= V.
 //
-// Listeners must not call back into this DynamicGraph (self-deadlock) and
-// must order any locks they take strictly AFTER this graph's lock.
+// A listener gets a View of the pre-update graph: a delete lengthens
+// distances, so only the graph as it was says which balls contain an
+// endpoint. The View is the one way in: listeners must not call this
+// DynamicGraph's public methods (they take the lock apply() holds —
+// self-deadlock) and must order any locks they take strictly AFTER this
+// graph's lock.
 //
 // Compaction folds the overlay back into the CSR base once it exceeds
 // compaction_fraction of the base arcs. It happens in place, under the
@@ -46,6 +51,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -126,12 +132,36 @@ class DynamicGraph {
                                    std::uint64_t* checked_version_out =
                                        nullptr) const;
 
+  /// A vertex reached by View::within(), with its hop distance.
+  struct Reached {
+    NodeId node = kInvalidNode;
+    std::uint16_t hops = 0;
+  };
+
+  /// Read-only access for update listeners to the graph as it stands
+  /// BEFORE the announced update. Valid only during the listener call.
+  class View {
+   public:
+    /// Every vertex within `radius` hops of `a` or `b`, in BFS order, with
+    /// its hop distance to the nearer of the two. Traverses with the
+    /// calling thread's VisitTable.
+    [[nodiscard]] std::vector<Reached> within(NodeId a, NodeId b,
+                                              unsigned radius) const;
+
+   private:
+    friend class DynamicGraph;
+    explicit View(const DynamicGraph& graph) : graph_(graph) {}
+    const DynamicGraph& graph_;
+  };
+
   /// Listener invoked inside apply() under the writer lock, before the
-  /// version bump becomes visible. Receives the update and the version it
-  /// will be published as. Returns an id for remove_listener(). Register
-  /// before concurrent use; removal must not race apply().
-  using UpdateListener =
-      std::function<void(const EdgeUpdate&, std::uint64_t version)>;
+  /// update mutates the graph and before the version bump becomes
+  /// visible. Receives the update, the version it will be published as,
+  /// and a View of the pre-update graph. Returns an id for
+  /// remove_listener(). Register before concurrent use; removal must not
+  /// race apply().
+  using UpdateListener = std::function<void(
+      const EdgeUpdate&, std::uint64_t version, const View& before)>;
   std::size_t add_update_listener(UpdateListener listener);
   void remove_listener(std::size_t id);
 
@@ -146,9 +176,17 @@ class DynamicGraph {
       MELOPPR_REQUIRES_SHARED(mu_);
   [[nodiscard]] std::size_t degree_locked(NodeId v) const
       MELOPPR_REQUIRES_SHARED(mu_);
-  /// Merged sorted adjacency of v into `out` (cleared first).
-  void merged_neighbors_locked(NodeId v, std::vector<NodeId>& out) const
+  /// Merged sorted adjacency of v: the base CSR row itself when v has no
+  /// overlay, else base − removed + added merged into `buf`.
+  [[nodiscard]] std::span<const NodeId> row_locked(
+      NodeId v, std::vector<NodeId>& buf) const MELOPPR_REQUIRES_SHARED(mu_);
+  [[nodiscard]] std::vector<Reached> within_locked(NodeId a, NodeId b,
+                                                   unsigned radius) const
       MELOPPR_REQUIRES_SHARED(mu_);
+  /// A View exists only inside apply(), which holds mu_ exclusively while
+  /// listeners run; this states that to the analysis. There is no runtime
+  /// probe: a shared mutex cannot report its owner.
+  void assert_held_by_apply() const MELOPPR_ASSERT_CAPABILITY(mu_) {}
   void compact_locked() MELOPPR_REQUIRES(mu_);
   [[nodiscard]] Graph materialize_locked() const
       MELOPPR_REQUIRES_SHARED(mu_);

@@ -26,6 +26,9 @@ std::vector<ScoredNode> top_k(std::vector<ScoredNode> scores, std::size_t k) {
     scores.resize(k);
   }
   std::sort(scores.begin(), scores.end(), better);
+  // Release the rest of the score table: a QueryResult keeps its top-k
+  // alive until the client collects it.
+  scores.shrink_to_fit();
   return scores;
 }
 

@@ -5,11 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "graph/builder.hpp"
+#include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "graph/paper_graphs.hpp"
+#include "graph/update_streams.hpp"
+#include "graph/visit_table.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -152,6 +159,105 @@ TEST(BoundedDistance, RespectsRadiusCap) {
   Graph g = fixtures::path(10);
   EXPECT_EQ(bounded_distance(g, 0, 4, 3), -1);
   EXPECT_EQ(bounded_distance(g, 0, 4, 4), 4);
+}
+
+/// Every array of two Subgraphs, element by element, plus their allocated
+/// footprint.
+void expect_identical(const Subgraph& a, const Subgraph& b,
+                      const std::string& context) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes()) << context;
+  ASSERT_EQ(a.num_arcs(), b.num_arcs()) << context;
+  ASSERT_EQ(a.radius(), b.radius()) << context;
+  EXPECT_EQ(a.bytes(), b.bytes()) << context;
+  EXPECT_EQ(a.local_to_global(), b.local_to_global()) << context;
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    ASSERT_EQ(a.depth(v), b.depth(v)) << context << " local " << v;
+    ASSERT_EQ(a.global_degree(v), b.global_degree(v)) << context;
+    const auto na = a.neighbors(v);
+    const auto nb = b.neighbors(v);
+    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
+        << context << " local " << v;
+  }
+  const auto pa = a.depth_prefix();
+  const auto pb = b.depth_prefix();
+  EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()))
+      << context;
+}
+
+TEST(VisitTable, ReuseAcrossGraphsMatchesFreshThreads) {
+  // One thread's table serves a small graph, a large one and a
+  // DynamicGraph in turn: it must grow when the graph does, and a stamp
+  // left by one extraction must never leak into the next. Each extraction
+  // is compared with the same one run on a fresh thread (a fresh table).
+  Rng rng(29);
+  const Graph small = erdos_renyi(120, 300, rng);
+  const Graph large = barabasi_albert(6000, 3, 3, rng);
+  const Graph mid = community_graph(2000, 20, 6.0, 1.5, rng);
+  DynamicGraph dyn(mid);
+  UpdateStreamConfig scfg;
+  scfg.count = 200;
+  Rng srng = rng.fork(1);
+  for (const EdgeUpdate& u : make_update_stream(
+           mid, UpdateWorkload::kRecommenderChurn, scfg, srng)) {
+    dyn.apply(u);
+  }
+
+  enum class Source { kSmall, kLarge, kDynamic };
+  const auto extract = [&](Source src, NodeId root, unsigned radius) {
+    switch (src) {
+      case Source::kSmall: return extract_ball(small, root, radius);
+      case Source::kLarge: return extract_ball(large, root, radius);
+      case Source::kDynamic: return dyn.extract_ball(root, radius);
+    }
+    return Subgraph();
+  };
+  const auto pick_root = [&](Source src) {
+    const Graph& g = src == Source::kSmall   ? small
+                     : src == Source::kLarge ? large
+                                             : mid;
+    NodeId root = static_cast<NodeId>(rng.below(g.num_nodes()));
+    while (src == Source::kDynamic ? dyn.degree(root) == 0
+                                   : g.degree(root) == 0) {
+      root = static_cast<NodeId>(rng.below(g.num_nodes()));
+    }
+    return root;
+  };
+
+  const Source order[] = {Source::kSmall, Source::kLarge, Source::kSmall,
+                          Source::kDynamic, Source::kLarge, Source::kDynamic,
+                          Source::kSmall};
+  for (int round = 0; round < 4; ++round) {
+    for (const Source src : order) {
+      const NodeId root = pick_root(src);
+      const unsigned radius = 1 + static_cast<unsigned>(rng.below(3));
+      const Subgraph reused = extract(src, root, radius);
+      Subgraph fresh;
+      std::thread([&] { fresh = extract(src, root, radius); }).join();
+      expect_identical(reused, fresh,
+                       "round " + std::to_string(round) + " source " +
+                           std::to_string(static_cast<int>(src)) + " root " +
+                           std::to_string(root) + " radius " +
+                           std::to_string(radius));
+    }
+  }
+}
+
+TEST(VisitTable, EpochWrapRetiresEveryEntry) {
+  VisitTable table(std::numeric_limits<std::uint32_t>::max() - 1);
+  table.reset(8);  // the last epoch before the wrap
+  EXPECT_TRUE(table.visit(1, 7));
+  EXPECT_FALSE(table.visit(1, 9)) << "second visit in one traversal";
+  EXPECT_EQ(table.slot(1), 7u);
+
+  table.reset(8);  // wraps
+  for (NodeId v = 0; v < 8; ++v) {
+    EXPECT_EQ(table.slot(v), kInvalidNode) << "entry " << v;
+  }
+  EXPECT_TRUE(table.visit(1, 3));
+  EXPECT_EQ(table.slot(1), 3u);
+  table.reset(16);  // grows
+  EXPECT_EQ(table.slot(1), kInvalidNode);
+  EXPECT_EQ(table.slot(15), kInvalidNode);
 }
 
 /// Ball-growth sanity on paper-like graphs: the depth-3 ball must be much

@@ -47,11 +47,12 @@ MelopprConfig small_config() {
 }
 
 /// Field-by-field Subgraph equality — the bit-identical claim, not just
-/// isomorphism.
+/// isomorphism — down to the allocated footprint the cache budgets by.
 void expect_same_ball(const Subgraph& a, const Subgraph& b,
                       const std::string& context) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes()) << context;
   ASSERT_EQ(a.num_arcs(), b.num_arcs()) << context;
+  ASSERT_EQ(a.bytes(), b.bytes()) << context;
   for (NodeId local = 0; local < a.num_nodes(); ++local) {
     ASSERT_EQ(a.to_global(local), b.to_global(local)) << context;
     ASSERT_EQ(a.depth(local), b.depth(local)) << context;
@@ -333,65 +334,46 @@ TEST(DynamicGraph, IncrementalEqualsRebuildAcrossFamilies) {
 // ---------------------------------------------------------------------------
 // Invalidation precision: one edge update invalidates exactly the resident
 // balls containing an endpoint — counted against a brute-force membership
-// scan — and every untouched ball is still a hit afterwards.
+// scan of the residents before the update — and every other ball is still
+// a hit afterwards. Checked for an insert and for a delete, with balls of
+// two radii resident.
 // ---------------------------------------------------------------------------
-TEST(DynamicGraph, InvalidationIsSurgical) {
-  Rng rng(test::test_seed() ^ 0x5039);
-  const Graph base = community_graph(500, 10, 6.0, 1.5, rng);
-  DynamicGraph dyn(base);
-  ShardedBallCache cache(base, 32u << 20, 4);
-  cache.bind_dynamic_graph(dyn);
 
-  // Warm: demand-fetch balls for a spread of roots.
-  std::vector<NodeId> roots;
-  for (NodeId r = 0; r < base.num_nodes() && roots.size() < 120; r += 4) {
-    if (base.degree(r) == 0) continue;
-    roots.push_back(r);
-    (void)cache.fetch(r, 2);
-  }
-  const auto resident_before = cache.resident_keys();
-  ASSERT_FALSE(resident_before.empty());
-  EXPECT_GT(cache.reverse_index_entries(), 0u);
-
-  // Choose an insert whose endpoints sit inside cached balls: the first
-  // non-adjacent pair of warmed roots (roots are ball centers, so each is
-  // trivially a member of its own resident ball).
-  EdgeUpdate update{kInvalidNode, kInvalidNode, true};
-  for (std::size_t i = 0; i < roots.size() && update.u == kInvalidNode; ++i) {
-    for (std::size_t j = i + 1; j < roots.size(); ++j) {
-      if (!dyn.has_edge(roots[i], roots[j])) {
-        update.u = roots[i];
-        update.v = roots[j];
-        break;
-      }
-    }
-  }
-  ASSERT_NE(update.u, kInvalidNode) << "no non-adjacent warm root pair";
-
-  // Brute-force expectation: which resident balls contain an endpoint?
-  std::size_t expected = 0;
+/// Applies `update` to `dyn` and checks `cache`'s invalidation against a
+/// brute-force membership scan of its residents before the update.
+void expect_surgical_invalidation(DynamicGraph& dyn, ShardedBallCache& cache,
+                                  const EdgeUpdate& update,
+                                  const std::string& context) {
+  std::vector<core::BallKey> victims;
   std::vector<core::BallKey> survivors;
-  for (const core::BallKey& key : resident_before) {
+  for (const core::BallKey& key : cache.resident_keys()) {
     const auto ball = cache.peek(key);
-    ASSERT_NE(ball, nullptr);
+    ASSERT_NE(ball, nullptr) << context;
     if (ball->contains(update.u) || ball->contains(update.v)) {
-      ++expected;
+      victims.push_back(key);
     } else {
       survivors.push_back(key);
     }
   }
-  ASSERT_GT(expected, 0u) << "update must touch at least one cached ball";
-  ASSERT_FALSE(survivors.empty());
+  ASSERT_FALSE(victims.empty())
+      << context << ": update must touch at least one cached ball";
+  ASSERT_FALSE(survivors.empty()) << context;
 
   const auto before = cache.stats();
   dyn.apply(update);
   const auto after = cache.stats();
-  EXPECT_EQ(after.invalidations - before.invalidations, expected)
-      << "invalidation must match the brute-force membership scan exactly";
+  EXPECT_EQ(after.invalidations - before.invalidations, victims.size())
+      << context
+      << ": invalidation must match the brute-force membership scan exactly";
+  for (const core::BallKey& key : victims) {
+    EXPECT_EQ(cache.peek(key), nullptr)
+        << context << ": stale ball root=" << key.root
+        << " radius=" << key.radius << " still resident";
+  }
 
-  // Victims are gone; survivors still resident and serveable as pure hits.
+  // Survivors still resident and serveable as pure hits.
   for (const core::BallKey& key : survivors) {
-    EXPECT_NE(cache.peek(key), nullptr);
+    EXPECT_NE(cache.peek(key), nullptr) << context;
   }
   const auto pre_hits = cache.stats();
   for (const core::BallKey& key : survivors) {
@@ -399,21 +381,80 @@ TEST(DynamicGraph, InvalidationIsSurgical) {
                                ShardedBallCache::FetchKind::kDemand,
                                ShardedBallCache::kNoClaimPriority,
                                dyn.version());
-    EXPECT_TRUE(f.hit) << "untouched ball must survive the update";
+    EXPECT_TRUE(f.hit) << context << ": untouched ball must survive";
   }
-  const auto post_hits = cache.stats();
-  EXPECT_EQ(post_hits.misses, pre_hits.misses)
-      << "surgical invalidation must not evict untouched balls";
-
-  // Reverse-index gauge stays consistent: recount from residents.
-  std::size_t recount = 0;
-  for (const core::BallKey& key : cache.resident_keys()) {
-    recount += cache.peek(key)->num_nodes();
-  }
-  EXPECT_EQ(cache.reverse_index_entries(), recount);
+  EXPECT_EQ(cache.stats().misses, pre_hits.misses)
+      << context << ": surgical invalidation must not evict untouched balls";
 }
 
-TEST(DynamicGraph, ClearResetsDynamicCountersAndIndex) {
+TEST(DynamicGraph, InvalidationIsSurgical) {
+  Rng rng(test::test_seed() ^ 0x5039);
+  const Graph base = community_graph(500, 10, 6.0, 1.5, rng);
+  std::vector<NodeId> roots;
+  for (NodeId r = 0; r < base.num_nodes() && roots.size() < 120; r += 4) {
+    if (base.degree(r) > 0) roots.push_back(r);
+  }
+
+  for (const bool insert : {true, false}) {
+    const std::string context = insert ? "insert" : "delete";
+    DynamicGraph dyn(base);
+    ShardedBallCache cache(base, 32u << 20, 4);
+    cache.bind_dynamic_graph(dyn);
+    for (const NodeId r : roots) {
+      for (const unsigned radius : {2u, 3u}) (void)cache.fetch(r, radius);
+    }
+
+    // Endpoints inside cached balls: roots are ball centers, so each is a
+    // member of its own resident balls. An insert joins the first
+    // non-adjacent pair of warmed roots; a delete cuts a warmed root's
+    // edge to a neighbor, where neither keeps degree 0.
+    EdgeUpdate update{kInvalidNode, kInvalidNode, insert};
+    for (std::size_t i = 0; i < roots.size() && update.u == kInvalidNode;
+         ++i) {
+      if (insert) {
+        for (std::size_t j = i + 1; j < roots.size(); ++j) {
+          if (!dyn.has_edge(roots[i], roots[j])) {
+            update.u = roots[i];
+            update.v = roots[j];
+            break;
+          }
+        }
+      } else if (base.degree(roots[i]) >= 2) {
+        for (const NodeId w : base.neighbors(roots[i])) {
+          if (base.degree(w) >= 2) {
+            update.u = roots[i];
+            update.v = w;
+            break;
+          }
+        }
+      }
+    }
+    ASSERT_NE(update.u, kInvalidNode) << context << ": no candidate edge";
+    expect_surgical_invalidation(dyn, cache, update, context);
+  }
+}
+
+TEST(DynamicGraph, InvalidationDropsBallExactlyAtItsRadius) {
+  // On a path, root 47 is exactly 3 hops from endpoint 50: its radius-3
+  // ball reaches the endpoint and must go, its radius-2 ball ends one hop
+  // short and must stay.
+  const Graph base = fixtures::path(100);
+  for (const EdgeUpdate& update :
+       {EdgeUpdate{50, 60, true}, EdgeUpdate{50, 51, false}}) {
+    const std::string context = update.insert ? "insert" : "delete";
+    DynamicGraph dyn(base);
+    ShardedBallCache cache(base, 32u << 20, 4);
+    cache.bind_dynamic_graph(dyn);
+    for (const NodeId r : {20u, 47u, 53u, 56u, 80u}) {
+      for (const unsigned radius : {2u, 3u}) (void)cache.fetch(r, radius);
+    }
+    expect_surgical_invalidation(dyn, cache, update, context);
+    EXPECT_EQ(cache.peek({47, 3}), nullptr) << context;
+    EXPECT_NE(cache.peek({47, 2}), nullptr) << context;
+  }
+}
+
+TEST(DynamicGraph, ClearResetsDynamicCounters) {
   Rng rng(test::test_seed() ^ 0xc1ea6);
   const Graph base = erdos_renyi(300, 1200, rng);
   DynamicGraph dyn(base);
@@ -436,23 +477,27 @@ TEST(DynamicGraph, ClearResetsDynamicCountersAndIndex) {
   const auto s = cache.stats();
   EXPECT_EQ(s.invalidations, 0u);
   EXPECT_EQ(s.stale_rejects, 0u);
-  EXPECT_EQ(s.reverse_index_entries, 0u)
-      << "clear drops every resident, so the gauge must read empty";
   EXPECT_EQ(cache.resident_keys().size(), 0u);
 
-  // The cache must keep working (and re-indexing) after the reset.
+  // The cache must keep working — and invalidating — after the reset.
   NodeId r = 0;
-  while (base.degree(r) == 0) ++r;
+  while (dyn.degree(r) == 0) ++r;
   (void)cache.fetch(r, 2, ShardedBallCache::FetchKind::kDemand,
                     ShardedBallCache::kNoClaimPriority, dyn.version());
-  EXPECT_GT(cache.reverse_index_entries(), 0u);
+  ASSERT_NE(cache.peek({r, 2}), nullptr);
+  NodeId far = 0;
+  while (far == r || dyn.has_edge(r, far)) ++far;
+  dyn.apply({r, far, true});
+  EXPECT_EQ(cache.peek({r, 2}), nullptr);
+  EXPECT_EQ(cache.stats().invalidations, 1u);
 }
 
 // ---------------------------------------------------------------------------
 // Concurrency hammer (the TSan target): producers apply churn updates while
 // the serving front end admits and executes queries. Asserts no torn
 // versions (every result's admission stamp is a version that existed),
-// counter conservation, and a consistent reverse index after quiesce.
+// counter conservation, and that every ball left resident after quiesce is
+// current.
 // ---------------------------------------------------------------------------
 TEST(DynamicGraph, ConcurrentUpdatesVersusServing) {
   Rng rng(test::test_seed() ^ 0x4a33e5);
@@ -521,14 +566,6 @@ TEST(DynamicGraph, ConcurrentUpdatesVersusServing) {
   // Counter conservation after quiesce.
   const auto s = cache.stats();
   EXPECT_GE(s.hits + s.misses, seeds.size());
-  std::size_t recount = 0;
-  for (const core::BallKey& key : cache.resident_keys()) {
-    const auto ball = cache.peek(key);
-    ASSERT_NE(ball, nullptr);
-    recount += ball->num_nodes();
-  }
-  EXPECT_EQ(s.reverse_index_entries, recount)
-      << "reverse index must exactly cover the resident set after quiesce";
 
   // Post-quiesce serving is bit-identical to a rebuild at the final
   // version (query_batch replays the serial depth-first reduction order,
@@ -540,6 +577,18 @@ TEST(DynamicGraph, ConcurrentUpdatesVersusServing) {
   for (std::size_t i = 0; i < probe.size(); ++i) {
     expect_same_top(got[i], ref_engine.query(probe[i]),
                     "post-quiesce seed=" + std::to_string(probe[i]));
+  }
+
+  // Invalidation missed nothing: every resident ball is byte-identical to
+  // one extracted from the rebuild at the final version.
+  const std::vector<core::BallKey> resident = cache.resident_keys();
+  ASSERT_FALSE(resident.empty());
+  for (const core::BallKey& key : resident) {
+    const auto ball = cache.peek(key);
+    ASSERT_NE(ball, nullptr);
+    expect_same_ball(*ball, extract_ball(rebuilt, key.root, key.radius),
+                     "resident root=" + std::to_string(key.root) +
+                         " radius=" + std::to_string(key.radius));
   }
 }
 

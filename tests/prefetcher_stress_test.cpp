@@ -168,9 +168,15 @@ TEST(PrefetcherStress, WorkerSurvivesExtractorFaults) {
   EXPECT_EQ(prefetcher.balls_fetched(), 0u);
   EXPECT_EQ(cache.extraction_failures(), faults);
 
-  // The same worker still serves once the extractor heals.
+  // The same worker still serves once the extractor heals. set_extractor
+  // must not race a fetch: quiesce() orders the worker's last one before
+  // it. And wait for the next request to complete, because quiesce()
+  // drops requests not yet started.
+  prefetcher.quiesce();
   cache.set_extractor({});
+  const std::size_t before_heal = prefetcher.completed();
   prefetcher.enqueue(cache, 5, 2);
+  while (prefetcher.completed() == before_heal) std::this_thread::yield();
   prefetcher.quiesce();
   EXPECT_TRUE(cache.fetch(5, 2).hit) << "worker died on the faults above";
   EXPECT_EQ(prefetcher.failures(), faults);

@@ -235,11 +235,10 @@ TEST(ShardedBallCache, ClearResetsEverything) {
   EXPECT_DOUBLE_EQ(cache.extraction_seconds(), 0.0);
   // Dynamic-mode counters reset with everything else (trivially zero here
   // with no dynamic graph bound; the bound-mode regression lives in
-  // dynamic_graph_test's ClearResetsDynamicCountersAndIndex).
+  // dynamic_graph_test's ClearResetsDynamicCounters).
   const ShardedBallCache::Stats s = cache.stats();
   EXPECT_EQ(s.invalidations, 0u);
   EXPECT_EQ(s.stale_rejects, 0u);
-  EXPECT_EQ(s.reverse_index_entries, 0u);
 }
 
 TEST(ShardedBallCache, StatsSnapshotNeverMixesResetState) {

@@ -44,6 +44,18 @@ TEST(TopK, MapOverloadAgreesWithVector) {
   }
 }
 
+TEST(TopK, ResultDoesNotKeepTheInputsCapacity) {
+  // A query's score table holds thousands of entries; its top-k must not
+  // pin that allocation for as long as the result lives.
+  Rng rng(3);
+  std::vector<ScoredNode> scores;
+  for (NodeId v = 0; v < 10000; ++v) scores.push_back({v, rng.uniform()});
+  constexpr std::size_t k = 200;
+  const auto top = top_k(std::move(scores), k);
+  ASSERT_EQ(top.size(), k);
+  EXPECT_LE(top.capacity(), k);
+}
+
 TEST(TopK, DeterministicUnderPermutation) {
   std::vector<ScoredNode> a = {{4, 0.4}, {2, 0.4}, {7, 0.4}, {1, 0.4}};
   std::vector<ScoredNode> b = {{1, 0.4}, {7, 0.4}, {2, 0.4}, {4, 0.4}};
