@@ -1,10 +1,10 @@
 #include "core/aggregator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
-#include "core/concurrent_topck.hpp"
 #include "util/assert.hpp"
 
 namespace meloppr::core {
@@ -35,9 +35,38 @@ TopCKAggregator::TopCKAggregator(std::size_t capacity, double admit_epsilon)
     throw std::invalid_argument(
         "TopCKAggregator: admit_epsilon must be non-negative");
   }
-  index_.reserve(capacity);
+  // Load factor ≤ 1/2 at full capacity keeps linear-probe chains short.
+  const std::size_t buckets = std::bit_ceil(2 * capacity);
+  index_.assign(buckets, {graph::kInvalidNode, 0});
+  index_mask_ = buckets - 1;
+  index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
   slots_.reserve(capacity);
   heap_.reserve(2 * capacity);
+}
+
+std::size_t TopCKAggregator::find_bucket(graph::NodeId node) const {
+  std::size_t b = home_bucket(node);
+  while (index_[b].node != node && index_[b].node != graph::kInvalidNode) {
+    b = (b + 1) & index_mask_;
+  }
+  return b;
+}
+
+void TopCKAggregator::erase_bucket(std::size_t b) {
+  for (std::size_t next = (b + 1) & index_mask_;
+       index_[next].node != graph::kInvalidNode;
+       next = (next + 1) & index_mask_) {
+    // An entry may fill the hole only if its home bucket does not lie
+    // cyclically in (b, next] — otherwise moving it would put it before
+    // its own home and lookups would miss it.
+    const std::size_t home = home_bucket(index_[next].node);
+    const bool stays = b <= next ? (b < home && home <= next)
+                                 : (b < home || home <= next);
+    if (stays) continue;
+    index_[b] = index_[next];
+    b = next;
+  }
+  index_[b].node = graph::kInvalidNode;
 }
 
 void TopCKAggregator::rebuild_heap() {
@@ -69,11 +98,6 @@ std::uint32_t TopCKAggregator::settle_min() {
   // stale *low*). Settling in key order therefore meets only stale or
   // re-tenanted snapshots before the first accurate one, and the first
   // accurate snapshot is the true minimum.
-  //
-  // ConcurrentTopCKAggregator::pop_min_locked (concurrent_topck.cpp)
-  // carries a per-shard copy of this invariant over atomic scores — a
-  // change to the settle/refresh rule or the growth guard here must be
-  // mirrored there.
   for (;;) {
     if (heap_.empty()) rebuild_heap();
     const HeapEntry e = heap_.front();
@@ -93,12 +117,13 @@ void TopCKAggregator::refresh_min() {
 }
 
 void TopCKAggregator::add(graph::NodeId node, double delta) {
-  const auto it = index_.find(node);
-  if (it != index_.end()) {
+  MELO_DCHECK(node != graph::kInvalidNode);
+  const std::size_t bucket = find_bucket(node);
+  if (index_[bucket].node == node) {
     // In-place BRAM update: always allowed, no eviction. Only decreases
     // need a fresh snapshot (see settle_min); the common positive update
     // is one addition, no heap traffic.
-    const auto slot = it->second;
+    const std::uint32_t slot = index_[bucket].slot;
     Slot& entry = slots_[slot];
     entry.score += delta;
     if (delta < 0.0) {
@@ -120,7 +145,7 @@ void TopCKAggregator::add(graph::NodeId node, double delta) {
     const auto slot = static_cast<std::uint32_t>(slots_.size());
     slots_.push_back({node, delta});
     push_snapshot(delta, slot);
-    index_.emplace(node, slot);
+    index_[bucket] = {node, slot};  // the empty bucket the probe ended on
     if (min_valid_ && delta < min_score_) {
       min_slot_ = slot;
       min_score_ = delta;
@@ -142,9 +167,10 @@ void TopCKAggregator::add(graph::NodeId node, double delta) {
   }
   bound_ = std::max(bound_, min_score_);
   ++evictions_;
-  index_.erase(slots_[min_slot_].node);
+  // Erasing may shift entries back, so the insert re-probes.
+  erase_bucket(find_bucket(slots_[min_slot_].node));
   slots_[min_slot_] = {node, delta};
-  index_.emplace(node, min_slot_);
+  index_[find_bucket(node)] = {node, min_slot_};
   push_snapshot(delta, min_slot_);
   min_valid_ = false;  // the old minimum's slot now holds a larger score
 }
@@ -164,72 +190,16 @@ std::size_t TopCKAggregator::bytes() const {
 }
 
 void TopCKAggregator::clear() {
-  // The vectors keep their capacity and the map its buckets, so pooled
-  // arenas (AggregatorPool) reuse warm storage.
-  index_.clear();
+  // Every buffer keeps its storage, so pooled arenas (AggregatorPool)
+  // reuse warm memory; the index is refilled with empty markers.
+  std::fill(index_.begin(), index_.end(),
+            IndexEntry{graph::kInvalidNode, 0});
   slots_.clear();
   heap_.clear();
   evictions_ = 0;
   margin_drops_ = 0;
   min_valid_ = false;
   bound_ = -std::numeric_limits<double>::infinity();
-}
-
-StripedAggregator::StripedAggregator(std::size_t stripes) {
-  if (stripes == 0) {
-    throw std::invalid_argument("StripedAggregator: need at least one stripe");
-  }
-  stripes_.reserve(stripes);
-  for (std::size_t s = 0; s < stripes; ++s) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-}
-
-void StripedAggregator::add(graph::NodeId node, double delta) {
-  Stripe& stripe = stripe_for(node);
-  util::MutexLock lock(stripe.mu);
-  stripe.scores[node] += delta;
-}
-
-std::vector<ScoredNode> StripedAggregator::top(std::size_t k) const {
-  std::vector<ScoredNode> all;
-  for (const auto& stripe : stripes_) {
-    util::MutexLock lock(stripe->mu);
-    all.reserve(all.size() + stripe->scores.size());
-    for (const auto& [node, score] : stripe->scores) {
-      all.push_back({node, score});
-    }
-  }
-  return ppr::top_k(std::move(all), k);
-}
-
-std::size_t StripedAggregator::entries() const {
-  std::size_t n = 0;
-  for (const auto& stripe : stripes_) {
-    util::MutexLock lock(stripe->mu);
-    n += stripe->scores.size();
-  }
-  return n;
-}
-
-std::size_t StripedAggregator::bytes() const {
-  // Same per-entry model as ExactAggregator, plus the stripe array.
-  const std::size_t per_entry =
-      sizeof(graph::NodeId) + sizeof(double) + 2 * sizeof(void*);
-  std::size_t total = stripes_.size() * sizeof(Stripe);
-  for (const auto& stripe : stripes_) {
-    util::MutexLock lock(stripe->mu);
-    total += stripe->scores.bucket_count() * sizeof(void*) +
-             stripe->scores.size() * per_entry;
-  }
-  return total;
-}
-
-void StripedAggregator::clear() {
-  for (const auto& stripe : stripes_) {
-    util::MutexLock lock(stripe->mu);
-    stripe->scores.clear();
-  }
 }
 
 std::unique_ptr<ScoreAggregator> make_serial_aggregator(AggregationMode mode,
@@ -241,16 +211,6 @@ std::unique_ptr<ScoreAggregator> make_serial_aggregator(AggregationMode mode,
                                              epsilon);
   }
   return std::make_unique<ExactAggregator>();
-}
-
-std::unique_ptr<ScoreAggregator> make_concurrent_aggregator(
-    AggregationMode mode, std::size_t k, std::size_t c, std::size_t ways,
-    double epsilon) {
-  if (mode == AggregationMode::kBounded) {
-    return std::make_unique<ConcurrentTopCKAggregator>(
-        std::max<std::size_t>(1, c * k), ways, epsilon);
-  }
-  return std::make_unique<StripedAggregator>(ways == 0 ? 16 : ways);
 }
 
 AggregatorPool::AggregatorPool(std::size_t slots, Factory factory)

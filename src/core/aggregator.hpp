@@ -12,16 +12,11 @@
 //                      contributions to evicted nodes are lost — the source
 //                      of the <0.2% (c>8) / >3% (c<4) precision loss the
 //                      paper measures. We default to c=10 as the paper does.
-//   StripedAggregator — the QueryPipeline's concurrent path: exact scores
-//                      sharded across mutex-striped maps so worker threads
-//                      add() in parallel with low contention.
-//   ConcurrentTopCKAggregator (concurrent_topck.hpp) — the thread-safe
-//                      bounded table: TopCK's BRAM strategy sharded for
-//                      concurrent add(), with a lock-free fast path for
-//                      resident updates.
 //
-// make_serial_aggregator / make_concurrent_aggregator map an
-// AggregationMode (config.hpp) onto these four.
+// make_serial_aggregator maps an AggregationMode (config.hpp) onto these
+// two. Both are single-threaded: every scheduler (Engine::query's stack,
+// the QueryPipeline's per-query replay) adds in the serial depth-first
+// order, which is what makes scores identical at any thread count.
 #pragma once
 
 #include <atomic>
@@ -31,7 +26,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
@@ -100,7 +94,10 @@ class ExactAggregator final : public ScoreAggregator {
 /// refreshing stale ones, until one matches its live score — provably the
 /// true minimum under the invariant above — which keeps min-eviction
 /// exact at amortized O(log cap) while bounded mode keeps pace with the
-/// exact hash map.
+/// exact hash map. The node → slot index is a fixed open-addressing table
+/// (linear probing, backward-shift deletion) sized once to a power of two
+/// ≥ 2·capacity, so inserts and evictions never allocate or rehash.
+/// kInvalidNode is reserved as its empty marker and is never a valid node.
 class TopCKAggregator final : public ScoreAggregator {
  public:
   /// capacity = c·k. `admit_epsilon` is the eviction hysteresis margin
@@ -143,6 +140,23 @@ class TopCKAggregator final : public ScoreAggregator {
     graph::NodeId node;
     double score;
   };
+  /// One open-addressing bucket; node == kInvalidNode marks it empty.
+  struct IndexEntry {
+    graph::NodeId node;
+    std::uint32_t slot;
+  };
+  [[nodiscard]] std::size_t home_bucket(graph::NodeId node) const {
+    // Fibonacci hashing: the top bits of the product spread consecutive
+    // ids (BFS-local neighborhoods) across the table.
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(node) * 0x9e3779b97f4a7c15ULL) >>
+        index_shift_);
+  }
+  /// Bucket holding `node`, or the empty bucket where its probe ended.
+  [[nodiscard]] std::size_t find_bucket(graph::NodeId node) const;
+  /// Empties bucket `b` and shifts its probe-chain successors back so no
+  /// later lookup stops early on the hole.
+  void erase_bucket(std::size_t b);
   /// (score snapshot, slot) — refreshed lazily at eviction time.
   struct HeapEntry {
     double key;
@@ -174,63 +188,20 @@ class TopCKAggregator final : public ScoreAggregator {
   bool min_valid_ = false;
   std::uint32_t min_slot_ = 0;
   double min_score_ = 0.0;
-  std::unordered_map<graph::NodeId, std::uint32_t> index_;  ///< node → slot
-  std::vector<Slot> slots_;      ///< live entries, dense
-  std::vector<HeapEntry> heap_;  ///< lazy min-heap over live scores
-};
-
-/// Exact aggregation sharded across `stripes` independent score maps, each
-/// behind its own mutex (stripe = hash(node) % stripes). add() is safe from
-/// any number of threads and contends only within a stripe; sums are exact
-/// because every node lives in exactly one stripe, but the *order* in which
-/// concurrent deltas land is scheduling-dependent, so totals can differ
-/// from a serial run by floating-point rounding (~1e-15 relative). The
-/// read-side calls (top/entries/bytes/clear) lock every stripe and must not
-/// race in-flight add() bursts the caller still awaits.
-class StripedAggregator final : public ScoreAggregator {
- public:
-  /// Throws std::invalid_argument when `stripes` is zero.
-  explicit StripedAggregator(std::size_t stripes = 16);
-
-  void add(graph::NodeId node, double delta) override;
-  [[nodiscard]] std::vector<ScoredNode> top(std::size_t k) const override;
-  [[nodiscard]] std::size_t entries() const override;
-  [[nodiscard]] std::size_t bytes() const override;
-  void clear() override;
-
-  [[nodiscard]] std::size_t stripe_count() const { return stripes_.size(); }
-
- private:
-  struct Stripe {
-    mutable util::Mutex mu;
-    ppr::ScoreMap scores MELOPPR_GUARDED_BY(mu);
-  };
-  [[nodiscard]] Stripe& stripe_for(graph::NodeId node) const {
-    return *stripes_[static_cast<std::size_t>(node) % stripes_.size()];
-  }
-
-  /// unique_ptr keeps Stripe addresses stable and sidesteps mutex's
-  /// non-movability.
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+  std::vector<IndexEntry> index_;  ///< node → slot, open addressing
+  std::size_t index_mask_ = 0;     ///< index_.size() − 1
+  unsigned index_shift_ = 0;       ///< 64 − log2(index_.size())
+  std::vector<Slot> slots_;        ///< live entries, dense
+  std::vector<HeapEntry> heap_;    ///< lazy min-heap over live scores
 };
 
 /// Builds the aggregator for a serial reduction schedule (Engine::query's
-/// DFS drain, the pipeline's deterministic task-order reduction, and the
-/// per-query replay of the stealing batch): an exact map, or the bounded
-/// c·k table whose results are bit-identical to the serial engine for the
-/// same operation order. `epsilon` is the bounded table's eviction
+/// DFS drain and the pipeline's per-query replay of it): an exact map, or
+/// the bounded c·k table whose results are bit-identical to the serial
+/// engine for the same operation order. `epsilon` is the bounded table's eviction
 /// hysteresis (MelopprConfig::topck_epsilon; ignored in exact mode).
 [[nodiscard]] std::unique_ptr<ScoreAggregator> make_serial_aggregator(
     AggregationMode mode, std::size_t k, std::size_t c,
-    double epsilon = 0.0);
-
-/// Builds the aggregator for concurrent streaming add() from many worker
-/// threads (the pipeline's non-deterministic reduction): mutex-striped
-/// exact maps, or the sharded concurrent bounded table. `ways` is the
-/// stripe/shard count (0 → implementation default); `epsilon` the bounded
-/// table's eviction hysteresis (ignored in exact mode).
-[[nodiscard]] std::unique_ptr<ScoreAggregator> make_concurrent_aggregator(
-    AggregationMode mode, std::size_t k, std::size_t c, std::size_t ways,
     double epsilon = 0.0);
 
 /// Per-worker arena of reusable serial aggregators (ROADMAP: "Aggregator

@@ -77,8 +77,6 @@ QueryResult Engine::query(graph::NodeId seed, DiffusionBackend& backend,
   result.stats.total_seconds = total.elapsed_seconds();
   result.stats.diffusion_serial_seconds =
       result.stats.compute_seconds() + result.stats.transfer_seconds();
-  result.stats.diffusion_makespan_seconds =
-      result.stats.diffusion_serial_seconds;
   result.stats.threads_used = 1;
 
   result.stats.aggregator_bytes = aggregator.bytes();
@@ -98,13 +96,12 @@ StageOutcome Engine::run_task(const StageTask& task, DiffusionBackend& backend,
   StageStats& st = out.stats;
 
   // --- 1. CPU-side sub-graph preparation (the PS role in Fig. 4). ---
-  // With a ball cache installed (sharded wins over the single-threaded
-  // one), extraction is served (and charged) by the cache; otherwise the
-  // ball is owned by this task and freed on return. The sharded cache's
+  // With a ball cache installed, extraction is served by the cache, whose
   // shared_ptr pins the ball against concurrent eviction for the scope of
-  // this task. bfs_seconds is the wall time this task *waited* for its
-  // ball — near zero on a cache hit, which is exactly how prefetching
-  // shows up in the Fig. 7 split.
+  // this task; otherwise the ball is owned by this task and freed on
+  // return. bfs_seconds is the wall time this task *waited* for its ball —
+  // near zero on a cache hit, which is exactly how prefetching shows up
+  // in the Fig. 7 split.
   // Extraction is retried against *environmental* failures (a flaky
   // extractor or storage layer) up to config_.extraction_attempts; caller
   // errors (std::invalid_argument — a bad seed is bad on every attempt)
@@ -127,12 +124,6 @@ StageOutcome Engine::run_task(const StageTask& task, DiffusionBackend& backend,
         if (fetch.pinned) ++st.cache_pin_hits;
         pinned = std::move(fetch.ball);
         ball_ptr = pinned.get();
-        meter.set("ball_cache", shared_cache_->bytes());
-      } else if (cache_ != nullptr) {
-        const std::size_t hits_before = cache_->hits();
-        ball_ptr = &cache_->get(task.root, length);
-        cache_->hits() > hits_before ? ++st.cache_hits : ++st.cache_misses;
-        meter.set("ball_cache", cache_->bytes());
       } else if (dynamic_ != nullptr) {
         // Cacheless dynamic extraction: the delta overlay serves the
         // current state directly (the serial reference path the
@@ -161,11 +152,13 @@ StageOutcome Engine::run_task(const StageTask& task, DiffusionBackend& backend,
   const graph::Subgraph& ball = *ball_ptr;
   st.bfs_seconds += bfs_timer.elapsed_seconds();
 
-  // Ball + device working set live only until this function returns; the
-  // peak stays at "one ball at a time" (per worker) — the memory claim of
-  // the paper, verified by the meter rather than assumed.
-  ScopedAllocation ball_mem(meter, "ball",
-                            owned.has_value() ? ball.bytes() : 0);
+  // Ball + device working set are held only until this function returns;
+  // the peak stays at "one ball at a time" (per worker) — the memory claim
+  // of the paper, verified by the meter rather than assumed. A cached ball
+  // is charged like an owned one: the task holds it (the pin keeps it
+  // alive even if evicted), while the rest of the cache is shared state
+  // no single query owns.
+  ScopedAllocation ball_mem(meter, "ball", ball.bytes());
   ScopedAllocation work_mem(
       meter, "device",
       backend.working_bytes(ball.num_nodes(), ball.num_edges()));

@@ -1,51 +1,37 @@
 // Concurrent query execution over the stage scheduler.
 //
-// The paper's linear decomposition (Eq. 6/8) makes every same-stage
-// diffusion independent — its stated future work (Sec. VI-C) is running
-// them in parallel. The engine's scheduler materializes exactly that
-// independence as StageTask frontiers; QueryPipeline adds the thread pool
-// that exploits it, at two granularities:
+// The paper's linear decomposition (Eq. 6/8) makes every stage task
+// independent — its stated future work (Sec. VI-C) is running them in
+// parallel. The engine's scheduler materializes exactly that independence
+// as StageTasks; QueryPipeline adds the thread pool that exploits it with
+// ONE scheduler, a work-stealing stream:
 //
-//   query(seed)        — stage-parallel: each stage's frontier of tasks is
-//                        dispatched across the pool (the BFS+diffusion of
-//                        task i overlaps task j), then reduced. With
-//                        PipelineConfig::deterministic_reduction (default)
-//                        the coordinator applies contributions in task
-//                        order, so scores are identical for ANY thread
-//                        count; the alternative streams contributions into
-//                        a mutex-striped aggregator concurrently.
-//   query_batch(seeds) — multi-query throughput. With work_stealing (the
-//                        default) every query's per-stage tasks go into
-//                        per-worker deques and idle workers steal from the
-//                        tails of busy ones, so one query with a huge
-//                        stage-2 fan-out cannot idle the pool; each query
-//                        is then reduced by replaying the serial depth-
-//                        first order, so scores stay bit-identical to
-//                        Engine::query. With work_stealing off, queries
-//                        are pinned whole to workers (the PR 1 scheduler).
-//   query_stream(stream) — continuous ingest: the same stealing scheduler
-//                        draining a SeedStream that other threads may still
-//                        be pushing into. Fresh seeds are claimed the moment
-//                        they arrive (idle workers park event-driven on
-//                        stream arrival), results are delivered through a
-//                        sink as each query finalizes, and per-query times
-//                        are arrival-stamped: total_seconds is
-//                        arrival→finalize response time, queue_seconds the
-//                        arrival→claim wait. The serving front end
-//                        (core/serving.hpp) builds its admission queue,
-//                        deadline-aware batch formation, and tenant fair
-//                        queueing on top of this call.
+//   * Every query's stage tasks go into per-worker deques. A worker pops
+//     its own deque LIFO (depth-first, like the serial stack), claims a
+//     fresh seed from the stream when its deque is empty, and otherwise
+//     steals from the FIFO end of a busy worker — so one query with a huge
+//     stage-2 fan-out cannot idle the pool.
+//   * Outcomes stay attached to the query's task tree, and the worker that
+//     finishes a query's last task replays the tree in the serial
+//     depth-first order into a pooled per-worker aggregator arena. Scores
+//     are therefore bit-identical to Engine::query at any thread count, in
+//     exact and bounded (top-c·k) aggregation alike.
 //
-// Aggregation (MelopprConfig::aggregation) is orthogonal to scheduling:
-// in bounded mode every per-query reduction runs through a c·k-entry
-// TopCK arena instead of an exact map — and because both batch scheduling
-// modes replay the serial DFS operation order per query, query_batch in
-// bounded mode is bit-identical to Engine::query with a TopCKAggregator
-// at any thread count (the paper's BRAM memory envelope with the serial
-// table's exact semantics). Only the stage-parallel query() with
-// deterministic_reduction off streams adds concurrently, through the
-// sharded ConcurrentTopCKAggregator, whose admit/evict boundary is
-// scheduling-dependent (concurrent_topck.hpp).
+// All three entry points run it:
+//
+//   query(seed)          — a one-seed query_batch.
+//   query_batch(seeds)   — a pre-filled, closed SeedStream.
+//   query_stream(stream) — continuous ingest: the stream may still be
+//                          growing. Fresh seeds are claimed the moment they
+//                          arrive (idle workers park event-driven on stream
+//                          arrival), results are delivered through a sink
+//                          as each query finalizes, and per-query times are
+//                          arrival-stamped: total_seconds is
+//                          arrival→finalize response time, queue_seconds
+//                          the arrival→claim wait. The serving front end
+//                          (core/serving.hpp) builds its admission queue,
+//                          deadline-aware batch formation, and tenant fair
+//                          queueing on top of this call.
 //
 // Host/device overlap: when the engine carries a ShardedBallCache, the
 // pipeline runs a stage-lookahead prefetcher — the moment a task's
@@ -58,8 +44,8 @@
 // BFS itself.
 //
 // The same prefetch threads serve two further lookahead refinements:
-//   * Cross-query root prefetch (root_prefetch_window) — the stealing
-//     batch knows every upcoming seed, so the stage-0 balls of the next W
+//   * Cross-query root prefetch (root_prefetch_window) — the scheduler
+//     knows every arrived seed, so the stage-0 balls of the next W
 //     unclaimed queries stream into the cache ahead of their claim,
 //     hiding cold-start BFS. Bounded by the cache's spare byte budget so
 //     a small cache is never thrashed by speculation.
@@ -71,15 +57,17 @@
 //
 // Backend policy: a thread_safe() backend (CpuBackend, FpgaFarm) is shared
 // by all workers — the farm then receives genuinely concurrent dispatches,
-// its devices filling with independent same-stage balls. A non-thread-safe
+// its devices filling with independent balls. A non-thread-safe
 // backend (FpgaBackend with its cycle counters) is clone()d once per
 // worker.
 //
 // Memory accounting stays honest under concurrency: every worker meters
-// its own transient footprints (ball + device working set), and the
-// per-thread meters are merged by summing peaks — an upper bound on the
-// true simultaneous peak, never an under-report. The peak story becomes
-// "T balls at a time + aggregator" instead of one.
+// its own transient footprints (the ball it holds + device working set),
+// and a query's peak sums every worker's published peak on top of its own
+// aggregator and outcome tree — an upper bound on the true simultaneous
+// peak, never an under-report. The peak story becomes "T balls at a time
+// + aggregator" instead of one; a shared ball cache's resident bytes are
+// not part of any query's peak (the cache reports them itself).
 #pragma once
 
 #include <atomic>
@@ -183,7 +171,7 @@ class QueryPipeline {
     std::size_t prefetched_balls = 0;  ///< lookahead BFS actually performed
     /// Of prefetch_issued, the requests raised by the cross-query root
     /// prefetcher (stage-0 balls of upcoming seeds) rather than stage
-    /// lookahead. Only the stealing batch scheduler issues these.
+    /// lookahead.
     std::size_t root_prefetch_issued = 0;
     /// Demand fetches served from the pinned prefetch side-table — root
     /// lookahead that paid off despite a TinyLFU retention rejection or a
@@ -204,8 +192,8 @@ class QueryPipeline {
     std::size_t cache_admission_rejects = 0;
     double prefetch_hidden_seconds = 0.0;  ///< BFS time moved off demand path
     double demand_bfs_seconds = 0.0;       ///< BFS time still paid by workers
-    /// Largest per-query peak_bytes in the batch (upper bound; in stealing
-    /// mode every query's peak folds in all workers' transient ball/device
+    /// Largest per-query peak_bytes in the batch (upper bound: every
+    /// query's peak folds in all workers' transient ball/device
     /// footprints, since tasks of any query may run on any worker).
     std::size_t peak_bytes = 0;
     /// Σ bounded-table min-evictions across the batch (0 in exact mode).
@@ -235,9 +223,9 @@ class QueryPipeline {
     std::size_t dead_devices = 0;      ///< sticky-dead at batch end
 
     /// Arrival-stamped response-time distribution (seconds) over the
-    /// batch: percentiles of QueryStats::total_seconds, which under both
-    /// batch schedulers is arrival→finalize — the SLO-facing quantity,
-    /// queueing delay included. All zero for an empty batch.
+    /// batch: percentiles of QueryStats::total_seconds, which is
+    /// arrival→finalize — the SLO-facing quantity, queueing delay
+    /// included. All zero for an empty batch.
     double response_p50_seconds = 0.0;
     double response_p99_seconds = 0.0;
     double response_p999_seconds = 0.0;
@@ -254,28 +242,26 @@ class QueryPipeline {
     }
   };
 
-  /// Spawns the worker pool (plus prefetch threads when config.prefetch).
-  /// `engine` and `backend` must outlive the pipeline. A single-threaded
-  /// BallCache on the engine is still rejected in parallel mode; a
-  /// ShardedBallCache is embraced at any thread count. Throws
-  /// std::invalid_argument on a bad config.
+  /// Spawns the worker pool and one pooled aggregator arena per worker
+  /// (prefetch threads follow lazily, see prefetcher()). `engine` and
+  /// `backend` must outlive the pipeline. Throws std::invalid_argument on
+  /// a bad config.
   QueryPipeline(const Engine& engine, DiffusionBackend& backend,
                 PipelineConfig config = {});
   QueryPipeline(const QueryPipeline&) = delete;
   QueryPipeline& operator=(const QueryPipeline&) = delete;
   ~QueryPipeline();
 
-  /// One query with its independent same-stage diffusions dispatched across
-  /// the pool. Scores match Engine::query within floating-point reduction
-  /// reordering (≤ ~1e-14 absolute on the paper graphs); with deterministic
-  /// reduction they are additionally identical across thread counts.
+  /// One query — query_batch of a single seed, so its stage tasks spread
+  /// across the pool by stealing. Scores are bit-identical to
+  /// Engine::query at any thread count.
   QueryResult query(graph::NodeId seed);
 
   /// Many queries, concurrently. Scores are bit-identical to Engine::query
-  /// at any thread count in both scheduling modes (the stealing mode
-  /// executes tasks out of order but reduces each query in the serial
-  /// depth-first order). Results are positionally aligned with `seeds`;
-  /// `batch_stats` (optional) receives the serving-layer accounting.
+  /// at any thread count (tasks execute out of order, but each query is
+  /// reduced in the serial depth-first order). Results are positionally
+  /// aligned with `seeds` (empty for an empty span); `batch_stats`
+  /// (optional) receives the serving-layer accounting.
   std::vector<QueryResult> query_batch(std::span<const graph::NodeId> seeds,
                                        BatchStats* batch_stats = nullptr);
 
@@ -287,9 +273,8 @@ class QueryPipeline {
 
   /// Continuous-ingest batch: drains `stream`, claiming seeds as they
   /// arrive (pushes are allowed while this call runs) and blocking until
-  /// the stream is closed and every pushed seed finished. Always uses the
-  /// work-stealing scheduler, at any thread count (threads == 1 included).
-  /// Scores for every seed are bit-identical to Engine::query regardless
+  /// the stream is closed and every pushed seed finished. Scores for every
+  /// seed are bit-identical to Engine::query regardless
   /// of when it was injected; QueryStats::total_seconds is arrival→finalize
   /// on the stream's clock and queue_seconds the arrival→claim wait. The
   /// first task exception is rethrown after the workers stop; seeds not yet
@@ -310,10 +295,10 @@ class QueryPipeline {
   [[nodiscard]] const BallPrefetcher* prefetcher() const {
     return prefetcher_.get();
   }
-  /// The pooled per-worker aggregator arenas (nullptr when
-  /// config.pool_aggregators is off).
-  [[nodiscard]] const AggregatorPool* aggregator_pool() const {
-    return agg_pool_.get();
+  /// The pooled per-worker aggregator arenas (exact maps or bounded c·k
+  /// tables, following the engine's aggregation mode).
+  [[nodiscard]] const AggregatorPool& aggregator_pool() const {
+    return agg_pool_;
   }
   /// The root-prefetch window controller (nullptr until the prefetcher
   /// spawns, and permanently when root_prefetch_window is 0). With
@@ -333,10 +318,10 @@ class QueryPipeline {
 
   void worker_loop(std::size_t worker_id);
 
-  /// Per-batch root-lookahead accounting, filled by run_stealing_batch so
-  /// query_batch never reports another batch's controller state (the
-  /// controller is shared pipeline state; a batch that takes the
-  /// non-stealing path must report zeros).
+  /// Per-batch root-lookahead accounting, filled by run_stream_batch so a
+  /// batch never reports another batch's controller state (the controller
+  /// is shared pipeline state; a batch without active lookahead must
+  /// report zeros).
   struct RootPrefetchTelemetry {
     std::size_t issued = 0;
     std::size_t last_window = 0;  ///< 0 unless root lookahead ran
@@ -344,8 +329,7 @@ class QueryPipeline {
   };
 
   /// The work-stealing scheduler over a (possibly still growing) seed
-  /// stream — both query_batch (which wraps its span in a pre-filled,
-  /// closed stream) and query_stream run through here. Results are
+  /// stream — every entry point runs through here. Results are
   /// delivered through `on_result` as each query finalizes; serving-layer
   /// deltas are taken by the caller around this call. `telemetry`
   /// (optional) receives this batch's root-lookahead accounting.
@@ -356,8 +340,6 @@ class QueryPipeline {
     return shared_backend_ != nullptr ? *shared_backend_
                                       : *clones_[worker_id];
   }
-
-  void check_cache_free() const;
 
   /// Returns the cache to prefetch into when lookahead is active —
   /// config.prefetch on AND a shared cache installed — spawning the
@@ -392,7 +374,7 @@ class QueryPipeline {
   /// Monotonic wall clock shared by the controller's idle-fraction
   /// differentiation (starts with the pipeline).
   Timer uptime_;
-  std::unique_ptr<AggregatorPool> agg_pool_;
+  AggregatorPool agg_pool_;
 
   std::vector<std::thread> workers_;
   util::Mutex mu_;

@@ -1,7 +1,7 @@
 // MUST NOT COMPILE under -Wthread-safety -Werror=thread-safety-analysis:
 // writes a field guarded by a SharedMutex while holding only the SHARED
-// (reader) side. This is the exact bug class ConcurrentTopCKAggregator's
-// fast path flirts with — reading under ReaderLock is fine, mutation
+// (reader) side. This is the exact bug class DynamicGraph's read path
+// must avoid — extraction under ReaderLock is fine, applying an update
 // needs the WriterLock.
 #include "util/thread_annotations.hpp"
 

@@ -1,14 +1,12 @@
 // QueryPipeline behaviors beyond score equivalence (covered by
 // scheduler_equivalence_test): backend sharing vs cloning, farm
-// integration, makespan accounting, merged memory metering, error
-// propagation, and config validation.
+// integration, worker accounting, merged memory metering, degenerate
+// batches, error propagation, and config validation.
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <stdexcept>
-#include <thread>
 
 #include "graph/generators.hpp"
 #include "hw/farm.hpp"
@@ -27,6 +25,15 @@ MelopprConfig small_config() {
   return cfg;
 }
 
+void expect_bit_identical(const QueryResult& want, const QueryResult& got) {
+  ASSERT_EQ(want.top.size(), got.top.size());
+  for (std::size_t i = 0; i < want.top.size(); ++i) {
+    EXPECT_EQ(want.top[i].node, got.top[i].node) << "rank " << i;
+    // EXPECT_EQ on doubles: bit-identical is the contract, not "near".
+    EXPECT_EQ(want.top[i].score, got.top[i].score) << "rank " << i;
+  }
+}
+
 hw::FpgaFarm make_farm(std::size_t devices) {
   hw::AcceleratorConfig cfg;
   cfg.parallelism = 4;
@@ -38,9 +45,19 @@ TEST(QueryPipeline, ConfigValidation) {
   Graph g = graph::barabasi_albert(200, 2, 2, rng);
   Engine engine(g, small_config());
   CpuBackend backend(0.85);
+  // The adaptive root-prefetch controller needs room to widen into.
   PipelineConfig bad;
-  bad.aggregator_stripes = 0;
+  bad.adaptive_root_prefetch = true;
+  bad.root_prefetch_window = 4;
+  bad.root_prefetch_max_window = 0;
   EXPECT_THROW(QueryPipeline(engine, backend, bad), std::invalid_argument);
+  // Either the fixed window or disabled root lookahead makes it moot.
+  PipelineConfig fixed = bad;
+  fixed.adaptive_root_prefetch = false;
+  EXPECT_NO_THROW(QueryPipeline(engine, backend, fixed));
+  PipelineConfig off = bad;
+  off.root_prefetch_window = 0;
+  EXPECT_NO_THROW(QueryPipeline(engine, backend, off));
 }
 
 TEST(QueryPipeline, ResolvedThreadsDefaultsPositive) {
@@ -100,23 +117,12 @@ TEST(QueryPipeline, FarmNumericsMatchSerialEngine) {
   QueryPipeline pipeline(engine, farm, pcfg);
   const QueryResult parallel = pipeline.query(23);
 
-  // Compare as node→score maps: per-node sums see the same addends in a
-  // different order, so exact serial ties can break differently in the
-  // positional ranking while every score still matches within 1e-12.
-  ASSERT_EQ(parallel.top.size(), serial.top.size());
-  std::map<graph::NodeId, double> want;
-  for (const auto& sn : serial.top) want.emplace(sn.node, sn.score);
-  std::size_t matched = 0;
-  for (const auto& sn : parallel.top) {
-    const auto it = want.find(sn.node);
-    if (it == want.end()) continue;  // a tie rotated the tail of the list
-    ++matched;
-    EXPECT_NEAR(sn.score, it->second, 1e-12) << "node " << sn.node;
-  }
-  EXPECT_GE(matched + 2, serial.top.size());  // at most the tie boundary moves
+  // The farm's quantized datapath is the single device's, and the
+  // pipeline replays the serial reduction order: bit-identical.
+  expect_bit_identical(serial, parallel);
 }
 
-TEST(QueryPipeline, MakespanAccountingIsCoherent) {
+TEST(QueryPipeline, WorkerAccountingIsCoherent) {
   Rng rng(84);
   Graph g = graph::barabasi_albert(800, 2, 2, rng);
   MelopprConfig cfg = small_config();
@@ -129,22 +135,12 @@ TEST(QueryPipeline, MakespanAccountingIsCoherent) {
 
   const QueryResult r = pipeline.query(11);
   // Popcount semantics: distinct workers that actually executed a task,
-  // not the pool size — between 1 (one worker drained every frontier) and
-  // the pool's 4.
+  // not the pool size — between 1 (one worker drained the whole tree) and
+  // the pool's 4, depending on how many stage-2 tasks were stolen.
   EXPECT_GE(r.stats.threads_used, 1u);
   EXPECT_LE(r.stats.threads_used, 4u);
+  EXPECT_LE(r.stats.stolen_tasks, r.stats.total_balls());
   EXPECT_GT(r.stats.diffusion_serial_seconds, 0.0);
-  // The makespan can never exceed the serial sum, and the speedup is
-  // bounded by the worker count.
-  EXPECT_LE(r.stats.diffusion_makespan_seconds,
-            r.stats.diffusion_serial_seconds + 1e-12);
-  EXPECT_GE(r.stats.parallel_speedup(), 1.0 - 1e-9);
-  EXPECT_LE(r.stats.parallel_speedup(), 4.0 + 1e-9);
-  // 25 independent stage-2 balls across 4 workers usually overlap, but on
-  // a single-core or oversubscribed runner one worker may legitimately
-  // drain the whole frontier — equality is then correct, not a bug.
-  EXPECT_LE(r.stats.diffusion_makespan_seconds,
-            r.stats.diffusion_serial_seconds);
 }
 
 TEST(QueryPipeline, MergedMemoryPeakIsHonest) {
@@ -159,7 +155,7 @@ TEST(QueryPipeline, MergedMemoryPeakIsHonest) {
   const QueryResult parallel = pipeline.query(17);
   const QueryResult serial = engine.query(17);
 
-  // The merged per-thread peak can only exceed the serial peak (T balls in
+  // The summed per-worker peak can only exceed the serial peak (T balls in
   // flight instead of one), and must include the aggregator.
   EXPECT_GT(parallel.stats.peak_bytes, 0u);
   EXPECT_GE(parallel.stats.peak_bytes, parallel.stats.aggregator_bytes);
@@ -185,6 +181,50 @@ TEST(QueryPipeline, BatchHandlesManyMoreQueriesThanWorkers) {
   }
 }
 
+TEST(QueryPipeline, EmptyBatchReturnsNothing) {
+  Rng rng(88);
+  Graph g = graph::barabasi_albert(300, 2, 2, rng);
+  Engine engine(g, small_config());
+  CpuBackend backend(0.85);
+  PipelineConfig pcfg;
+  pcfg.threads = 2;
+  QueryPipeline pipeline(engine, backend, pcfg);
+
+  QueryPipeline::BatchStats batch;
+  batch.queries = 99;  // overwritten, never accumulated
+  const std::vector<QueryResult> results =
+      pipeline.query_batch(std::span<const graph::NodeId>{}, &batch);
+  EXPECT_TRUE(results.empty());
+  EXPECT_EQ(batch.queries, 0u);
+  EXPECT_EQ(batch.executed_tasks, 0u);
+  EXPECT_EQ(batch.response_p99_seconds, 0.0);
+  // The pool is still serving afterwards.
+  EXPECT_EQ(pipeline.query_batch(std::vector<graph::NodeId>{4}).size(), 1u);
+}
+
+TEST(QueryPipeline, SingleSeedOnOneThreadMatchesSerial) {
+  Rng rng(89);
+  Graph g = graph::barabasi_albert(500, 2, 2, rng);
+  Engine engine(g, small_config());
+  CpuBackend backend(0.85);
+  PipelineConfig pcfg;
+  pcfg.threads = 1;
+  QueryPipeline pipeline(engine, backend, pcfg);
+
+  QueryPipeline::BatchStats batch;
+  const std::vector<graph::NodeId> seed{37};
+  const std::vector<QueryResult> results = pipeline.query_batch(seed, &batch);
+  ASSERT_EQ(results.size(), 1u);
+  const QueryResult serial = engine.query(37);
+  expect_bit_identical(serial, results[0]);
+  EXPECT_EQ(results[0].stats.total_balls(), serial.stats.total_balls());
+  EXPECT_EQ(results[0].stats.threads_used, 1u);
+  EXPECT_EQ(results[0].stats.stolen_tasks, 0u);
+  EXPECT_EQ(batch.queries, 1u);
+  EXPECT_EQ(batch.executed_tasks, serial.stats.total_balls());
+  expect_bit_identical(serial, pipeline.query(37));
+}
+
 TEST(QueryPipeline, WorkerExceptionsPropagateToCaller) {
   Rng rng(87);
   Graph g = graph::barabasi_albert(200, 2, 2, rng);
@@ -201,60 +241,6 @@ TEST(QueryPipeline, WorkerExceptionsPropagateToCaller) {
   // The pool survives a failed dispatch and keeps serving.
   const std::vector<graph::NodeId> good{1, 2, 3};
   EXPECT_EQ(pipeline.query_batch(good).size(), 3u);
-}
-
-TEST(QueryPipeline, RejectsBallCacheInParallelMode) {
-  Rng rng(88);
-  Graph g = graph::barabasi_albert(300, 2, 2, rng);
-  Engine engine(g, small_config());
-  CpuBackend backend(0.85);
-  BallCache cache(g, 1u << 20);
-  engine.set_ball_cache(&cache);
-
-  PipelineConfig pcfg;
-  pcfg.threads = 4;
-  QueryPipeline pipeline(engine, backend, pcfg);
-  EXPECT_THROW(pipeline.query(5), InvariantViolation);
-  engine.set_ball_cache(nullptr);
-  EXPECT_NO_THROW(pipeline.query(5));
-}
-
-TEST(StripedAggregator, ExactSumsAndValidation) {
-  EXPECT_THROW(StripedAggregator(0), std::invalid_argument);
-  StripedAggregator agg(4);
-  agg.add(1, 0.5);
-  agg.add(1, 0.25);
-  agg.add(5, 1.0);
-  agg.add(5, -1.0);
-  EXPECT_EQ(agg.entries(), 2u);
-  const auto top = agg.top(2);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].node, 1u);
-  EXPECT_DOUBLE_EQ(top[0].score, 0.75);
-  EXPECT_GT(agg.bytes(), 0u);
-  agg.clear();
-  EXPECT_EQ(agg.entries(), 0u);
-}
-
-TEST(StripedAggregator, ConcurrentAddsAreLossless) {
-  StripedAggregator agg(8);
-  constexpr int kThreads = 8;
-  constexpr int kAdds = 5000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&agg] {
-      for (int i = 0; i < kAdds; ++i) {
-        agg.add(static_cast<graph::NodeId>(i % 97), 1.0);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(agg.entries(), 97u);
-  double total = 0.0;
-  for (const auto& sn : agg.top(97)) total += sn.score;
-  // Integer-valued adds: the sum is exact, so losses would be visible.
-  EXPECT_DOUBLE_EQ(total, static_cast<double>(kThreads) * kAdds);
 }
 
 }  // namespace

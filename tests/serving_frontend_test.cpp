@@ -110,7 +110,6 @@ TEST(QueryStream, ResponseTimesMonotoneOnOneWorker) {
   std::vector<graph::NodeId> seeds;
   for (graph::NodeId s = 0; s < 8; ++s) seeds.push_back((s * 17 + 3) % 500);
 
-  // Stream path.
   SeedStream stream;
   stream.push_all(seeds);
   stream.close();
@@ -129,19 +128,6 @@ TEST(QueryStream, ResponseTimesMonotoneOnOneWorker) {
       EXPECT_GE(got[i].stats.queue_seconds + 1e-9,
                 got[i - 1].stats.queue_seconds);
     }
-  }
-
-  // Pinned path (work_stealing off): same contract, same clock fix.
-  PipelineConfig pinned_cfg;
-  pinned_cfg.threads = 1;
-  pinned_cfg.work_stealing = false;
-  QueryPipeline pinned(engine, backend, pinned_cfg);
-  const std::vector<QueryResult> batch = pinned.query_batch(seeds);
-  for (std::size_t i = 1; i < batch.size(); ++i) {
-    EXPECT_GE(batch[i].stats.total_seconds + 1e-9,
-              batch[i - 1].stats.total_seconds);
-    EXPECT_GE(batch[i].stats.queue_seconds + 1e-9,
-              batch[i - 1].stats.queue_seconds);
   }
 }
 

@@ -1,11 +1,14 @@
 // The concurrent serving layer on top of the QueryPipeline: sharded cache
-// integration, stage-lookahead prefetch equivalence, work-stealing batch
-// scheduling (bit-identical scores, skew behavior), and aggregator pooling.
+// integration, stage-lookahead prefetch equivalence, work-stealing
+// scheduling (bit-identical scores, skew behavior), per-query memory
+// accounting next to a shared cache, and aggregator pooling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -49,7 +52,7 @@ TEST(ServingLayer, SharedCacheAcceptedInParallelMode) {
   PipelineConfig pcfg;
   pcfg.threads = 4;
   QueryPipeline pipeline(engine, backend, pcfg);
-  EXPECT_NO_THROW(pipeline.query(5));          // no single-thread prohibition
+  EXPECT_NO_THROW(pipeline.query(5));            // shared by every worker
   EXPECT_GT(cache.hits() + cache.misses(), 0u);  // extractions went through
   engine.set_shared_ball_cache(nullptr);
 }
@@ -67,7 +70,6 @@ TEST(ServingLayer, StealingBatchBitIdenticalToSerialEngine) {
 
   PipelineConfig pcfg;
   pcfg.threads = 4;
-  pcfg.work_stealing = true;
   pcfg.prefetch = true;
   QueryPipeline pipeline(engine, backend, pcfg);
   const std::vector<QueryResult> results = pipeline.query_batch(seeds);
@@ -89,7 +91,7 @@ TEST(ServingLayer, PrefetchOnOffScoresIdentical) {
   Engine engine(g, small_config());
   std::vector<graph::NodeId> seeds{7, 7, 123, 400, 7, 881, 123};
 
-  const auto run = [&](bool prefetch, bool stealing) {
+  const auto run = [&](bool prefetch) {
     CpuBackend backend(0.85);
     ShardedBallCache cache(g, 128u << 20);
     engine.set_shared_ball_cache(&cache);
@@ -99,24 +101,21 @@ TEST(ServingLayer, PrefetchOnOffScoresIdentical) {
     // Un-throttled so the CPU backend actually exercises lookahead (the
     // equivalence under test is prefetch-on vs prefetch-off numerics).
     pcfg.prefetch_throttle = false;
-    pcfg.work_stealing = stealing;
     QueryPipeline pipeline(engine, backend, pcfg);
     auto results = pipeline.query_batch(seeds);
     engine.set_shared_ball_cache(nullptr);
     return results;
   };
 
-  const auto off = run(false, true);
-  const auto on = run(true, true);
-  const auto pinned = run(true, false);
+  const auto off = run(false);
+  const auto on = run(true);
   ASSERT_EQ(off.size(), on.size());
   for (std::size_t i = 0; i < off.size(); ++i) {
     expect_bit_identical(off[i], on[i]);
-    expect_bit_identical(off[i], pinned[i]);
   }
 }
 
-TEST(ServingLayer, StageParallelQueryPrefetchesLookahead) {
+TEST(ServingLayer, SingleQueryPrefetchesLookahead) {
   Rng rng(94);
   Graph g = graph::barabasi_albert(900, 2, 2, rng);
   MelopprConfig cfg = small_config();
@@ -133,18 +132,21 @@ TEST(ServingLayer, StageParallelQueryPrefetchesLookahead) {
   // CPU backend: the backend-aware throttle would keep lookahead off; this
   // test measures the lookahead mechanism itself, so force it on.
   pcfg.prefetch_throttle = false;
+  pcfg.root_prefetch_window = 0;  // stage lookahead only
   QueryPipeline pipeline(engine, backend, pcfg);
   // Lazy: prefetch threads spawn on the first query that sees the cache.
   EXPECT_EQ(pipeline.prefetcher(), nullptr);
 
   const QueryResult with_prefetch = pipeline.query(11);
   ASSERT_NE(pipeline.prefetcher(), nullptr);
-  // Every stage-2 child was announced to the prefetcher as soon as its
-  // parent task finished.
+  // The worker that ran the root dives into the first stage-2 child
+  // itself; every other child was announced to the prefetcher the moment
+  // the root task finished.
+  ASSERT_GT(with_prefetch.stats.stages[1].balls, 1u);
   EXPECT_EQ(pipeline.prefetcher()->issued(),
-            with_prefetch.stats.stages[1].balls);
-  // Scores are identical to a prefetch-free pipeline at the same thread
-  // count (deterministic reduction; prefetch never changes task order).
+            with_prefetch.stats.stages[1].balls - 1);
+  // Scores are identical to a prefetch-free pipeline and to the serial
+  // engine: prefetch changes cache temperature, never the reduction.
   PipelineConfig no_pf = pcfg;
   no_pf.prefetch = false;
   ShardedBallCache cold(g, 128u << 20);
@@ -152,6 +154,7 @@ TEST(ServingLayer, StageParallelQueryPrefetchesLookahead) {
   QueryPipeline plain(engine, backend, no_pf);
   expect_bit_identical(plain.query(11), with_prefetch);
   engine.set_shared_ball_cache(nullptr);
+  expect_bit_identical(engine.query(11), with_prefetch);
 }
 
 TEST(ServingLayer, PrefetchThrottleKeepsCpuBackendUnoversubscribed) {
@@ -172,7 +175,7 @@ TEST(ServingLayer, PrefetchThrottleKeepsCpuBackendUnoversubscribed) {
   ASSERT_TRUE(pcfg.prefetch_throttle);
   QueryPipeline pipeline(engine, backend, pcfg);
 
-  const QueryResult single = pipeline.query(9);
+  (void)pipeline.query(9);  // the single-query route spawns nothing either
   QueryPipeline::BatchStats batch;
   const std::vector<graph::NodeId> seeds{9, 42, 9, 300};
   const auto results = pipeline.query_batch(seeds, &batch);
@@ -182,7 +185,6 @@ TEST(ServingLayer, PrefetchThrottleKeepsCpuBackendUnoversubscribed) {
   // every core stays with the demand path.
   EXPECT_EQ(pipeline.prefetcher(), nullptr);
   EXPECT_EQ(batch.prefetch_issued, 0u);
-  EXPECT_EQ(single.stats.prefetch_hidden_seconds, 0.0);
   // Scores are unaffected — the throttle changes scheduling only.
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     expect_bit_identical(engine.query(seeds[i]), results[i]);
@@ -213,6 +215,9 @@ TEST(ServingLayer, PrefetchThrottleAdmitsOffloadingBackend) {
   engine.set_shared_ball_cache(nullptr);
 
   ASSERT_NE(pipeline.prefetcher(), nullptr);
+  // One root-lookahead request for the seed (the cold cache holds the
+  // default window at its floor), plus one stage-lookahead request for
+  // every stage-2 child but the first, which the root's worker runs next.
   EXPECT_EQ(pipeline.prefetcher()->issued(), r.stats.stages[1].balls);
 }
 
@@ -235,7 +240,6 @@ TEST(ServingLayer, CrossQueryRootPrefetchWarmsUpcomingSeeds) {
     pcfg.threads = 4;
     pcfg.prefetch = true;
     pcfg.prefetch_throttle = false;  // CPU backend; exercise the mechanism
-    pcfg.work_stealing = true;
     pcfg.root_prefetch_window = window;
     QueryPipeline pipeline(engine, backend, pcfg);
     QueryPipeline::BatchStats batch;
@@ -300,7 +304,6 @@ TEST(ServingLayer, SaturatedCacheIssuesNoRootPrefetches) {
     pcfg.threads = 4;
     pcfg.prefetch = true;
     pcfg.prefetch_throttle = false;  // CPU backend; exercise the mechanism
-    pcfg.work_stealing = true;
     pcfg.adaptive_root_prefetch = adaptive;
     pcfg.root_prefetch_window = 4;
     QueryPipeline pipeline(engine, backend, pcfg);
@@ -332,7 +335,6 @@ TEST(ServingLayer, AdaptiveRootPrefetchReportsWindowAndKeepsScores) {
   pcfg.threads = 4;
   pcfg.prefetch = true;
   pcfg.prefetch_throttle = false;
-  pcfg.work_stealing = true;
   pcfg.adaptive_root_prefetch = true;
   pcfg.root_prefetch_max_window = 8;
   QueryPipeline pipeline(engine, backend, pcfg);
@@ -374,7 +376,6 @@ TEST(ServingLayer, PinnedHandoffNeverReextractsAndKeepsScores) {
   pcfg.threads = 4;
   pcfg.prefetch = true;
   pcfg.prefetch_throttle = false;
-  pcfg.work_stealing = true;
   pcfg.root_prefetch_pinning = true;
   QueryPipeline pipeline(engine, backend, pcfg);
   QueryPipeline::BatchStats batch;
@@ -476,7 +477,6 @@ TEST(ServingLayer, WorkStealingSpreadsHeavyQuery) {
   CpuBackend backend(0.85);
   PipelineConfig pcfg;
   pcfg.threads = 4;
-  pcfg.work_stealing = true;
   pcfg.prefetch = false;
   QueryPipeline pipeline(engine, backend, pcfg);
   QueryPipeline::BatchStats batch;
@@ -491,15 +491,6 @@ TEST(ServingLayer, WorkStealingSpreadsHeavyQuery) {
   EXPECT_GE(results[0].stats.threads_used, 2u);
   // Scores unaffected by who ran what.
   expect_bit_identical(engine.query(hub), results[0]);
-
-  // Query-pinned scheduling, by contrast, keeps every query on one worker.
-  PipelineConfig pinned = pcfg;
-  pinned.work_stealing = false;
-  QueryPipeline pinned_pipeline(engine, backend, pinned);
-  QueryPipeline::BatchStats pinned_batch;
-  const auto pinned_results = pinned_pipeline.query_batch(seeds, &pinned_batch);
-  EXPECT_EQ(pinned_batch.stolen_tasks, 0u);
-  EXPECT_EQ(pinned_results[0].stats.threads_used, 1u);
 }
 
 TEST(ServingLayer, BatchStatsAreCoherent) {
@@ -544,6 +535,47 @@ TEST(ServingLayer, BatchStatsAreCoherent) {
   engine.set_shared_ball_cache(nullptr);
   EXPECT_EQ(batch.queries, seeds.size());
   EXPECT_EQ(batch.executed_tasks, balls);
+}
+
+TEST(ServingLayer, QueryPeakExcludesSharedCacheFootprint) {
+  // A query's peak_bytes charges the balls its tasks hold, not the whole
+  // shared cache: with the cache warmed far past one query's footprint,
+  // no query may report a peak anywhere near the resident cache — neither
+  // through the stealing scheduler (which sums every worker's peak into
+  // each query) nor through the serial engine.
+  Rng rng(105);
+  Graph g = graph::barabasi_albert(3000, 2, 2, rng);
+  Engine engine(g, small_config());
+  const std::vector<graph::NodeId> probe{11, 1400, 2900};
+  std::size_t cacheless_peak = 0;
+  for (const graph::NodeId seed : probe) {
+    cacheless_peak =
+        std::max(cacheless_peak, engine.query(seed).stats.peak_bytes);
+  }
+
+  CpuBackend backend(0.85);
+  ShardedBallCache cache(g, 256u << 20);
+  engine.set_shared_ball_cache(&cache);
+  PipelineConfig pcfg;
+  pcfg.threads = 4;
+  QueryPipeline pipeline(engine, backend, pcfg);
+  std::vector<graph::NodeId> warm;
+  for (graph::NodeId s = 0; s < 3000; s += 5) warm.push_back(s);
+  (void)pipeline.query_batch(warm);
+  // Warm well past what four workers' balls plus one aggregator can hold.
+  ASSERT_GT(cache.bytes(), 16 * pcfg.threads * cacheless_peak);
+
+  const std::vector<QueryResult> results = pipeline.query_batch(probe);
+  for (std::size_t i = 0; i < probe.size(); ++i) {
+    SCOPED_TRACE("seed " + std::to_string(probe[i]));
+    EXPECT_GT(results[i].stats.peak_bytes, 0u);
+    EXPECT_LT(results[i].stats.peak_bytes, cache.bytes());
+  }
+  const QueryResult serial = engine.query(probe.front());
+  engine.set_shared_ball_cache(nullptr);
+  EXPECT_GT(serial.stats.cache_hits(), 0u);
+  EXPECT_GT(serial.stats.peak_bytes, 0u);
+  EXPECT_LT(serial.stats.peak_bytes, cache.bytes());
 }
 
 TEST(AggregatorPool, LeasesPreferSlotAndReuseArenas) {
@@ -592,28 +624,6 @@ TEST(AggregatorPool, ConcurrentAcquireReleaseIsSafe) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(pool.acquires(), static_cast<std::size_t>(kThreads * kIters));
   EXPECT_GE(pool.reuses(), pool.acquires() - 4);
-}
-
-TEST(ServingLayer, PooledAndUnpooledBatchesMatch) {
-  Rng rng(97);
-  Graph g = graph::barabasi_albert(600, 2, 2, rng);
-  Engine engine(g, small_config());
-  std::vector<graph::NodeId> seeds{3, 99, 250, 3, 99, 512};
-
-  const auto run = [&](bool pooled) {
-    CpuBackend backend(0.85);
-    PipelineConfig pcfg;
-    pcfg.threads = 2;
-    pcfg.pool_aggregators = pooled;
-    pcfg.prefetch = false;
-    QueryPipeline pipeline(engine, backend, pcfg);
-    return pipeline.query_batch(seeds);
-  };
-  const auto with_pool = run(true);
-  const auto without = run(false);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    expect_bit_identical(without[i], with_pool[i]);
-  }
 }
 
 }  // namespace

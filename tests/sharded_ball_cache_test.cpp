@@ -1,6 +1,7 @@
 // ShardedBallCache: correctness under concurrency — shard contention,
 // eviction under budget pressure, in-flight miss deduplication, pinning —
-// plus the splitmix64 key-hash distribution properties.
+// the splitmix64 key-hash distribution properties, and the cache serving
+// a serial Engine::query (one shard, plain LRU).
 #include "core/sharded_ball_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "util/fault_injection.hpp"
@@ -120,6 +122,28 @@ TEST(ShardedBallCache, EvictionRespectsPerShardBudget) {
   EXPECT_EQ(cache.hits(), 3u);
   cache.get(0, 2);
   EXPECT_EQ(cache.misses(), 7u);  // 6 cold + this re-miss
+}
+
+TEST(ShardedBallCache, RecentUseProtectsFromEviction) {
+  // One shard with the default kAlways admission is a plain LRU: a refresh
+  // moves a ball to the MRU end, so the next eviction takes the true LRU.
+  Graph g = graph::fixtures::cycle(200);
+  std::size_t one_ball;
+  {
+    ShardedBallCache probe(g, 1 << 20, 1);
+    probe.get(0, 2);
+    one_ball = probe.bytes();
+  }
+  ShardedBallCache cache(g, 3 * one_ball + one_ball / 2, 1);  // room for 3
+  cache.get(0, 2);
+  cache.get(10, 2);
+  cache.get(20, 2);
+  cache.get(0, 2);   // refresh node 0 to MRU
+  cache.get(30, 2);  // evicts node 10's ball, not node 0's
+  cache.get(0, 2);   // still cached
+  EXPECT_EQ(cache.hits(), 2u);
+  cache.get(10, 2);  // the true victim misses
+  EXPECT_EQ(cache.misses(), 5u);
 }
 
 TEST(ShardedBallCache, OversizedBallServedButNotRetained) {
@@ -500,6 +524,56 @@ TEST(ShardedBallCache, PinAdmissionPrefersSeedsClosestToClaim) {
   (void)cache.fetch(10, 2, FK::kDemand);
   EXPECT_EQ(cache.stats().misses, misses_before + 1)
       << "displaced pin should no longer be held";
+}
+
+TEST(ShardedBallCacheEngine, CachedQueriesMatchUncached) {
+  Rng rng(61);
+  Graph g = graph::barabasi_albert(800, 2, 2, rng);
+  MelopprConfig cfg;
+  cfg.stage_lengths = {3, 3};
+  cfg.k = 20;
+  cfg.selection = Selection::top_count(10);
+  Engine engine(g, cfg);
+
+  QueryResult plain = engine.query(9);
+
+  ShardedBallCache cache(g, 64u << 20, 1);
+  engine.set_shared_ball_cache(&cache);
+  QueryResult cached_cold = engine.query(9);
+  QueryResult cached_warm = engine.query(9);
+  engine.set_shared_ball_cache(nullptr);
+
+  // A cached ball is the ball an extraction would produce: bit-identical.
+  ASSERT_EQ(plain.top.size(), cached_warm.top.size());
+  for (std::size_t i = 0; i < plain.top.size(); ++i) {
+    EXPECT_EQ(plain.top[i].node, cached_warm.top[i].node);
+    EXPECT_EQ(plain.top[i].score, cached_warm.top[i].score);
+  }
+  EXPECT_GT(cache.hit_rate(), 0.4);  // the repeat query hits everywhere
+  EXPECT_EQ(cached_warm.stats.cache_misses(), 0u);
+  // Warm query spends (almost) nothing on BFS.
+  EXPECT_LT(cached_warm.stats.bfs_seconds(),
+            cached_cold.stats.bfs_seconds() + 1e-9);
+}
+
+TEST(ShardedBallCacheEngine, CrossSeedSharingOfStage2Balls) {
+  // Different seeds select overlapping next-stage nodes; the cache should
+  // see real hits across a query stream.
+  Rng rng(62);
+  Graph g = graph::barabasi_albert(1500, 2, 2, rng);
+  MelopprConfig cfg;
+  cfg.stage_lengths = {3, 3};
+  cfg.k = 20;
+  cfg.selection = Selection::top_count(20);
+  Engine engine(g, cfg);
+  ShardedBallCache cache(g, 256u << 20, 1);
+  engine.set_shared_ball_cache(&cache);
+  for (graph::NodeId seed : {3u, 17u, 99u, 250u, 777u, 1200u}) {
+    (void)engine.query(seed);
+  }
+  engine.set_shared_ball_cache(nullptr);
+  // Hubs are selected by many seeds — hits must occur.
+  EXPECT_GT(cache.hits(), 10u);
 }
 
 }  // namespace
