@@ -11,17 +11,16 @@
 //                              path: stage tasks of all queries run on a
 //                              work-stealing pool, scores stay
 //                              bit-identical to the serial engine;
-//   * pipeline + serving stack — the concurrent layer: sharded ball cache
-//                              shared by all workers and stage-lookahead
-//                              prefetch hiding BFS behind diffusion.
+//   * pipeline + serving stack — the concurrent layer: one sharded ball
+//                              cache shared by all workers.
 // The report shows tail latency, throughput, and what each configuration
 // spends (cache memory vs cores) — the serving-time face of the paper's
 // memory↔latency trade-off, plus the parallelism its Sec. VI-C future work
 // predicts. The new columns surface the serving layer's own telemetry:
-// cache hit rate, prefetch-hidden BFS seconds, steal counts, and — for the
-// bounded-aggregation rows — the score-table occupancy and evictions of
-// the paper's c·k BRAM strategy, now served through the same concurrent
-// batch path instead of being exact-only.
+// cache hit rate, steal counts, and — for the bounded-aggregation rows —
+// the score-table occupancy and evictions of the paper's c·k BRAM
+// strategy, now served through the same concurrent batch path instead of
+// being exact-only.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -70,8 +69,8 @@ int main() {
 
   TablePrinter report({"configuration", "p50 (ms)", "p99 (ms)", "mean (ms)",
                        "wall (s)", "queries/s", "BFS share",
-                       "cache hit rate", "cache MB", "hidden BFS (s)",
-                       "steals", "agg entries", "agg evict"});
+                       "cache hit rate", "cache MB", "steals",
+                       "agg entries", "agg evict"});
 
   // `service_s` is Σ QueryStats::service_seconds(), NOT total_seconds:
   // totals are arrival→finalize and include queueing, so dividing BFS by
@@ -82,7 +81,6 @@ int main() {
                            double wall_s, double bfs_s, double service_s,
                            const std::string& hit_rate,
                            const std::string& cache_mb,
-                           const std::string& hidden,
                            const std::string& steals,
                            const std::string& agg_entries,
                            const std::string& agg_evict) {
@@ -96,7 +94,7 @@ int main() {
              ? fmt_fixed(static_cast<double>(latency_ms.count()) / wall_s, 1)
              : "-",
          service_s > 0.0 ? fmt_percent(bfs_s / service_s) : "-", hit_rate,
-         cache_mb, hidden, steals, agg_entries, agg_evict});
+         cache_mb, steals, agg_entries, agg_evict});
   };
 
   // --- Serial engine, cold and with byte-budgeted ball caches. ---
@@ -122,7 +120,7 @@ int main() {
                 ? fmt_fixed(static_cast<double>(cache->bytes()) / (1 << 20),
                             1)
                 : "-",
-            "-", "-", "-", "-");
+            "-", "-", "-");
   };
 
   serve_serial(nullptr, "serial, cold");
@@ -132,8 +130,8 @@ int main() {
   serve_serial(&big_cache, "serial, 64 MB ball cache");
 
   // --- Pipeline: the same stream served by T stealing workers, bare (no
-  //     cache), with the full serving stack (sharded cache + stage-
-  //     lookahead prefetch), and with the serving stack plus bounded
+  //     cache), with the serving stack (a shared sharded cache), and with
+  //     the serving stack plus bounded
   //     top-c·k aggregation (the paper's BRAM memory envelope per
   //     in-flight query, scores bit-identical to the serial bounded
   //     engine). ---
@@ -151,12 +149,6 @@ int main() {
     core::CpuBackend backend(cfg.alpha);
     core::PipelineConfig pcfg;
     pcfg.threads = threads;
-    pcfg.prefetch = serving_stack;
-    // This demo host's cores are otherwise idle during the run, so opt out
-    // of the backend-aware throttle to show the lookahead columns; a
-    // production CPU-only server keeps the default (throttled) and relies
-    // on the cache alone.
-    pcfg.prefetch_throttle = false;
     core::ShardedBallCache shared_cache(g, 64u << 20, 0, admission);
     if (serving_stack) eng.set_shared_ball_cache(&shared_cache);
     core::QueryPipeline pipeline(eng, backend, pcfg);
@@ -181,13 +173,7 @@ int main() {
         (admission == core::CacheAdmission::kTinyLFU ? " +TinyLFU" : "");
     if (serving_stack) {
       serving_notes.push_back(
-          label + ": root prefetches " +
-          std::to_string(batch.root_prefetch_issued) + " (window " +
-          std::to_string(batch.last_root_prefetch_window) +
-          ", prefetch idle " + fmt_percent(batch.prefetch_idle_fraction) +
-          "), pin hits " + std::to_string(batch.root_prefetch_pin_hits) +
-          ", root re-extractions " +
-          std::to_string(batch.root_reextractions) +
+          label + ": dedup joins " + std::to_string(batch.dedup_hits) +
           ", admission rejects " +
           std::to_string(batch.cache_admission_rejects));
     }
@@ -198,8 +184,6 @@ int main() {
                       static_cast<double>(shared_cache.bytes()) / (1 << 20),
                       1)
                 : "-",
-            serving_stack ? fmt_fixed(batch.prefetch_hidden_seconds, 2)
-                          : "-",
             std::to_string(batch.stolen_tasks),
             std::to_string(batch.peak_aggregator_entries),
             bounded ? std::to_string(batch.aggregator_evictions) : "-");
@@ -230,8 +214,6 @@ int main() {
     core::CpuBackend backend(cfg.alpha);
     core::PipelineConfig pcfg;
     pcfg.threads = 4;
-    pcfg.prefetch = true;
-    pcfg.prefetch_throttle = false;
     core::ShardedBallCache shared_cache(g, 64u << 20);
     engine.set_shared_ball_cache(&shared_cache);
     core::QueryPipeline pipeline(engine, backend, pcfg);
@@ -273,7 +255,6 @@ int main() {
             fmt_percent(batch.cache_hit_rate()),
             fmt_fixed(static_cast<double>(shared_cache.bytes()) / (1 << 20),
                       1),
-            fmt_fixed(batch.prefetch_hidden_seconds, 2),
             std::to_string(batch.stolen_tasks),
             std::to_string(batch.peak_aggregator_entries), "-");
     serving_notes.push_back(
@@ -334,7 +315,7 @@ int main() {
             fmt_percent(batch.cache_hit_rate()),
             fmt_fixed(static_cast<double>(shared_cache.bytes()) / (1 << 20),
                       1),
-            "-", std::to_string(batch.stolen_tasks),
+            std::to_string(batch.stolen_tasks),
             std::to_string(batch.peak_aggregator_entries), "-");
     serving_notes.push_back(
         "degraded farm (plan: " + plan.summary() + "): outcomes ok/degr/fail " +
@@ -351,7 +332,7 @@ int main() {
   }
 
   std::cout << report.ascii() << '\n';
-  std::cout << "serving-layer lookahead/admission detail:\n";
+  std::cout << "serving-layer cache/admission detail:\n";
   for (const std::string& note : serving_notes) {
     std::cout << "  " << note << '\n';
   }
@@ -359,8 +340,7 @@ int main() {
             << "reading: the cache converts the BFS share of repeated "
                "queries into memory; the pipeline converts idle cores into "
                "throughput at identical scores; the serving stack combines "
-               "both and hides the residual BFS behind diffusion; the "
-               "bounded rows additionally cap every in-flight query's "
+               "both; the bounded rows additionally cap every in-flight query's "
                "score table at c*k entries (the paper's BRAM envelope) "
                "with scores still bit-identical to the serial bounded "
                "engine — four dials on the same memory<->latency trade. The "

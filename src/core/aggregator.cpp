@@ -171,7 +171,18 @@ void TopCKAggregator::add(graph::NodeId node, double delta) {
   erase_bucket(find_bucket(slots_[min_slot_].node));
   slots_[min_slot_] = {node, delta};
   index_[find_bucket(node)] = {node, min_slot_};
-  push_snapshot(delta, min_slot_);
+  if (!heap_.empty() && heap_.front().slot == min_slot_) {
+    // The front is the evicted slot's own snapshot (settle_min just put it
+    // there): re-key it in place to the slot's new live score instead of
+    // pushing a second entry that the next settle_min would only refresh
+    // into a duplicate. Every other slot keeps its entries, so the
+    // lazy-heap invariant holds.
+    std::pop_heap(heap_.begin(), heap_.end(), heap_after);
+    heap_.back() = {delta, min_slot_};
+    std::push_heap(heap_.begin(), heap_.end(), heap_after);
+  } else {
+    push_snapshot(delta, min_slot_);
+  }
   min_valid_ = false;  // the old minimum's slot now holds a larger score
 }
 

@@ -127,30 +127,23 @@ class DiffusionBackend {
   /// to false: the pipeline then clones per worker instead of sharing.
   [[nodiscard]] virtual bool thread_safe() const { return false; }
 
+  // The three hooks below have no reader in src/; they stay only because
+  // bench_e2e's TimedBackend overrides and forwards them.
+
   /// Upper bound on run() calls this backend can genuinely execute at the
-  /// same time (its internal execution slots). Unbounded by default; an
-  /// internally-scheduled farm reports its device count so schedulers can
-  /// report physically possible makespans when workers outnumber devices.
+  /// same time (its internal execution slots): unbounded by default, the
+  /// device count for a farm. bench_e2e reads it.
   [[nodiscard]] virtual std::size_t max_concurrent_runs() const {
     return std::numeric_limits<std::size_t>::max();
   }
 
   /// True when run() executes the diffusion off the host CPU (an
-  /// accelerator or accelerator farm), so dispatching threads block while
-  /// the device computes and host cores sit idle. The pipeline's
-  /// backend-aware prefetch throttle only spawns lookahead BFS threads for
-  /// offloading backends — against a CPU backend they would oversubscribe
-  /// the very cores the workers compute on.
+  /// accelerator or accelerator farm). bench_e2e reads it.
   [[nodiscard]] virtual bool offloads_compute() const { return false; }
 
   /// Callers currently inside run() — executing on a device or blocked on
-  /// device checkout. This is the live idleness signal behind the
-  /// pipeline's farm-wait prefetch meter (PipelineConfig::
-  /// prefetch_wait_meter): while a shared offloading backend reports 0,
-  /// no worker is parked on the device side, so host cores belong to the
-  /// demand path and lookahead BFS pauses. Backends without a live signal
-  /// keep this default ("unknown — assume busy"), which never pauses
-  /// lookahead.
+  /// device checkout; "unknown" (max) for backends without a live gauge.
+  /// bench_e2e reads it.
   [[nodiscard]] virtual std::size_t active_dispatches() const {
     return std::numeric_limits<std::size_t>::max();
   }
@@ -239,10 +232,7 @@ class FailoverBackend final : public DiffusionBackend {
   [[nodiscard]] std::size_t max_concurrent_runs() const override {
     return primary_->max_concurrent_runs();
   }
-  /// The prefetch throttle keys on the primary: while the farm serves,
-  /// dispatchers block device-side exactly as without the decorator. (A
-  /// fully failed-over stack computes on host cores, but by then the farm
-  /// reports no active dispatches and the wait meter pauses lookahead.)
+  /// Reports the primary's hooks (bench_e2e reads them).
   [[nodiscard]] bool offloads_compute() const override {
     return primary_->offloads_compute();
   }

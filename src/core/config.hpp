@@ -49,112 +49,15 @@ enum class CacheAdmission {
 };
 
 /// Concurrency surface of the QueryPipeline (core/pipeline.hpp): how many
-/// workers, and how the host-side lookahead around them behaves.
+/// workers run the stealing scheduler.
 struct PipelineConfig {
   /// Worker threads; 0 → std::thread::hardware_concurrency() (min 1).
   std::size_t threads = 0;
-
-  /// Stage-lookahead BFS prefetch. When the engine has a shared
-  /// (ShardedBallCache) ball cache installed, each finished stage task's
-  /// next-stage children are handed to dedicated prefetch threads, which
-  /// extract their balls into the cache while the current stage's
-  /// diffusions still occupy the backend — the PS/PL overlap of Fig. 4.
-  /// No-op without a shared cache; never affects scores.
-  bool prefetch = true;
-
-  /// Dedicated prefetch (host BFS) threads; 0 → max(1, threads/2). These
-  /// are in addition to the worker pool: workers blocked on a busy device
-  /// farm leave exactly this many cores for lookahead BFS.
-  std::size_t prefetch_threads = 0;
-
-  /// Backend-aware prefetch throttle (ROADMAP "Prefetch throttling"). When
-  /// true (default), lookahead BFS threads only run for backends that
-  /// offload diffusion off the host (a device or device farm) — that is,
-  /// exactly when dispatchers block on the farm and leave cores idle. On a
-  /// CPU-only backend the workers themselves occupy every core, so
-  /// prefetch threads would only oversubscribe; the throttle keeps them
-  /// unspawned. Set false to force lookahead regardless of backend (e.g.
-  /// to measure the layer in isolation, or when the host has known-idle
-  /// cores).
-  bool prefetch_throttle = true;
-
-  /// Cross-query root lookahead (ROADMAP "Cross-query root prefetch"): the
-  /// stealing scheduler knows every upcoming (arrived) seed, so the
-  /// stage-0 balls of upcoming unclaimed queries are handed to the prefetch
-  /// threads while earlier queries still run — the cold-start BFS of a
-  /// fresh query becomes a cache hit. The window is always throttled by the
-  /// shared cache's spare byte budget (speculative roots may consume spare
-  /// capacity, up to at most ~1/8 of the budget — a full cache stops
-  /// speculating entirely), so a small cache is never churned to warm
-  /// queries that are far away. 0 disables root lookahead in both modes;
-  /// with `adaptive_root_prefetch` (the default) any positive value merely
-  /// enables it and the width is chosen by the controller; with the
-  /// adaptive controller off this is the fixed window width (the PR 4
-  /// knob). Requires prefetch + a shared cache, like stage lookahead;
-  /// never affects scores.
-  std::size_t root_prefetch_window = 4;
-
-  /// Adaptive root-prefetch window (ROADMAP "Adaptive root-prefetch
-  /// window"). When true (default) the window width self-tunes per claim
-  /// from two live signals instead of staying at the fixed knob above:
-  /// the EWMA of recently extracted ball bytes (how much speculation the
-  /// spare budget can absorb) and the prefetch threads' idle fraction
-  /// (how much lookahead capacity is going unused — idle threads widen
-  /// the window toward root_prefetch_max_window, saturated threads let it
-  /// fall back to the configured floor). The width never drops below
-  /// `root_prefetch_window` — narrowing issuance protects nothing; cache
-  /// churn protection is the spare-budget byte throttle, which always
-  /// wins and closes the window entirely on a full cache. Set false to
-  /// reproduce the fixed `root_prefetch_window` exactly.
-  bool adaptive_root_prefetch = true;
-
-  /// Upper bound of the adaptive controller's window, in seeds. The
-  /// controller reaches it only when the prefetch threads are idle and the
-  /// cache has spare budget for that many EWMA-sized balls.
-  std::size_t root_prefetch_max_window = 32;
-
-  /// Pinned prefetch handoff (ROADMAP "Pinned prefetch handoff"). When
-  /// true (default), every root-prefetched ball is additionally held in
-  /// the cache's bounded pinned side-table (keyed by seed) until its seed
-  /// is claimed or the batch ends — so a TinyLFU retention rejection can
-  /// no longer waste the prefetch BFS: the claiming worker is served from
-  /// the pin even when the ball was never retained (and can no longer be
-  /// hurt by an eviction racing the claim). Scan resistance is unchanged;
-  /// pins live outside the LRU and expire with the batch. Set false for
-  /// the PR 4 behavior (served-but-rejected prefetches are re-extracted).
-  bool root_prefetch_pinning = true;
-
-  /// Farm-wait prefetch meter (ROADMAP "Per-moment farm-wait throttling").
-  /// The backend-aware throttle above is binary per backend; this meters
-  /// lookahead at run time: prefetch threads pause (requests queue up)
-  /// whenever a shared offloading backend reports zero active dispatches —
-  /// an idle farm means no worker is blocked on a device, so host cores
-  /// belong to the demand path and lookahead BFS would oversubscribe them.
-  /// The moment a dispatch enters the farm, lookahead resumes. Only
-  /// applies to shared thread-safe offloading backends (FpgaFarm); ignored
-  /// elsewhere. Never affects scores — paused lookahead just means the
-  /// demand fetch pays its own BFS.
-  bool prefetch_wait_meter = true;
 
   [[nodiscard]] std::size_t resolved_threads() const {
     if (threads != 0) return threads;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
-  }
-
-  [[nodiscard]] std::size_t resolved_prefetch_threads() const {
-    if (prefetch_threads != 0) return prefetch_threads;
-    const std::size_t half = resolved_threads() / 2;
-    return half == 0 ? 1 : half;
-  }
-
-  void validate() const {
-    if (adaptive_root_prefetch && root_prefetch_window > 0 &&
-        root_prefetch_max_window == 0) {
-      throw std::invalid_argument(
-          "PipelineConfig: root_prefetch_max_window must be positive when "
-          "the adaptive controller is on and root lookahead is enabled");
-    }
   }
 };
 

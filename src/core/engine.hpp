@@ -130,8 +130,7 @@ class Engine {
 
   /// Serves all ball extractions through the thread-safe sharded cache
   /// (nullptr restores direct extraction), safe under any number of
-  /// workers and the storage side of the pipeline's stage-lookahead
-  /// prefetcher. The cache must be built over the same graph and outlive
+  /// workers. The cache must be built over the same graph and outlive
   /// the engine's queries. A query's peak_bytes charges only the balls its
   /// tasks hold, never the resident cache: the cache is shared state whose
   /// footprint the cache itself reports (ShardedBallCache::bytes()).

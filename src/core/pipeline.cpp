@@ -63,7 +63,6 @@ QueryPipeline::QueryPipeline(const Engine& engine, DiffusionBackend& backend,
     : engine_(&engine),
       config_(config),
       threads_(config.resolved_threads()),
-      backend_offloads_(backend.offloads_compute()),
       // Arenas follow the engine's aggregation mode: exact maps, or bounded
       // c·k tables whose clear() keeps the fixed slots warm.
       agg_pool_(threads_,
@@ -72,7 +71,6 @@ QueryPipeline::QueryPipeline(const Engine& engine, DiffusionBackend& backend,
                  eps = engine.config().topck_epsilon] {
                   return make_serial_aggregator(mode, k, c, eps);
                 }) {
-  config_.validate();
   if (backend.thread_safe()) {
     shared_backend_ = &backend;
   } else {
@@ -94,52 +92,6 @@ QueryPipeline::~QueryPipeline() {
   }
   work_available_.notify_all();
   for (std::thread& t : workers_) t.join();
-}
-
-ShardedBallCache* QueryPipeline::activate_lookahead() {
-  if (!config_.prefetch) return nullptr;
-  // Backend-aware throttle: lookahead BFS threads only pay off while
-  // dispatchers block on an offloading backend (farm/device). Against a
-  // CPU backend the workers already occupy every core, so prefetch
-  // threads would oversubscribe — the demand path fetches instead.
-  if (config_.prefetch_throttle && !backend_offloads_) return nullptr;
-  ShardedBallCache* cache = engine_->shared_ball_cache();
-  if (cache == nullptr) return nullptr;
-  // Lazy: a pipeline that never sees a shared cache never pays for
-  // prefetch threads (they could do no work anyway).
-  std::call_once(prefetcher_once_, [this] {
-    // Farm-wait meter: pause lookahead while the shared offloading
-    // backend is momentarily idle (no dispatcher inside run() means host
-    // cores carry the demand path alone). Only a shared backend has an
-    // aggregate live signal — per-worker clones cannot be polled as one.
-    std::function<bool()> pause;
-    if (config_.prefetch_wait_meter && backend_offloads_ &&
-        shared_backend_ != nullptr) {
-      pause = [backend = shared_backend_] {
-        return backend->active_dispatches() == 0;
-      };
-    }
-    prefetcher_ = std::make_unique<BallPrefetcher>(
-        config_.resolved_prefetch_threads(), std::move(pause));
-    if (config_.root_prefetch_window > 0) {
-      // Root-prefetch width: the configured window is the floor (the
-      // controller never does worse than the static knob); with adaptive
-      // mode on, idle prefetch threads widen it toward max_window. Fixed
-      // mode is the degenerate min == max window, routed through the same
-      // controller so both modes share one byte-cap conversion. Either
-      // way the cache's spare-budget throttle closes the window entirely
-      // on a full cache — churn protection is the byte cap, not narrowed
-      // issuance.
-      const std::size_t floor = config_.root_prefetch_window;
-      const std::size_t ceiling =
-          config_.adaptive_root_prefetch
-              ? std::max(config_.root_prefetch_max_window, floor)
-              : floor;
-      window_controller_ =
-          std::make_unique<AdaptiveWindowController>(floor, ceiling);
-    }
-  });
-  return cache;
 }
 
 void QueryPipeline::worker_loop(std::size_t worker_id) {
@@ -198,38 +150,6 @@ void QueryPipeline::run_jobs(
 }
 
 namespace {
-
-/// Scope guard: the lookahead contract ("no prefetch thread touches any
-/// cache passed earlier after a query call returns", pins expire with the
-/// batch) must hold on the throw path too — a caller that tears
-/// the cache down after catching a batch error would otherwise race live
-/// prefetch threads. Quiesce is idempotent (the success paths still
-/// quiesce explicitly before reading their stat deltas). drop_pins() is
-/// cache-global, so it only runs when the LAST concurrent batch on this
-/// pipeline drains — one batch finishing must not discard a still-running
-/// batch's live pins.
-class LookaheadDrain {
- public:
-  LookaheadDrain(BallPrefetcher* prefetcher, ShardedBallCache* cache,
-                 std::atomic<std::size_t>* active_batches)
-      : prefetcher_(prefetcher),
-        cache_(cache),
-        active_batches_(active_batches) {}
-  LookaheadDrain(const LookaheadDrain&) = delete;
-  LookaheadDrain& operator=(const LookaheadDrain&) = delete;
-  ~LookaheadDrain() {
-    if (prefetcher_ != nullptr) prefetcher_->quiesce();
-    if (cache_ != nullptr &&
-        active_batches_->fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      cache_->drop_pins();
-    }
-  }
-
- private:
-  BallPrefetcher* prefetcher_;
-  ShardedBallCache* cache_;
-  std::atomic<std::size_t>* active_batches_;
-};
 
 /// Per-result accounting of one query_stream call: the per-query sums plus
 /// the arrival-stamped response-time distribution. The caller serializes
@@ -308,25 +228,16 @@ struct QueryTally {
   }
 };
 
-/// Serving-layer counters (cache + prefetcher + shared-backend health)
-/// measured as deltas around one batch/stream call: snapshot at
-/// construction, fill() writes current-minus-snapshot into BatchStats.
+/// Serving-layer counters (cache + shared-backend health) measured as
+/// deltas around one batch/stream call: snapshot at construction, fill()
+/// writes current-minus-snapshot into BatchStats.
 class ServingDeltas {
  public:
-  ServingDeltas(ShardedBallCache* cache, BallPrefetcher* prefetcher,
-                DiffusionBackend* backend)
-      : cache_(cache), prefetcher_(prefetcher), backend_(backend) {
+  ServingDeltas(ShardedBallCache* cache, DiffusionBackend* backend)
+      : cache_(cache), backend_(backend) {
     if (cache_ != nullptr) {
       dedup_ = cache_->dedup_hits();
       rejects_ = cache_->admission_rejects();
-      pin_hits_ = cache_->pin_hits();
-      reextract_ = cache_->root_reextractions();
-    }
-    if (prefetcher_ != nullptr) {
-      issued_ = prefetcher_->issued();
-      fetched_ = prefetcher_->balls_fetched();
-      hidden_ = prefetcher_->hidden_seconds();
-      failures_ = prefetcher_->failures();
     }
     // Shared-backend health (farm breaker/probe counters) is cumulative,
     // so trips/probes are deltas too; device counts are absolute state.
@@ -345,29 +256,14 @@ class ServingDeltas {
     if (cache_ != nullptr) {
       bs.dedup_hits = cache_->dedup_hits() - dedup_;
       bs.cache_admission_rejects = cache_->admission_rejects() - rejects_;
-      bs.root_prefetch_pin_hits = cache_->pin_hits() - pin_hits_;
-      bs.root_reextractions = cache_->root_reextractions() - reextract_;
-    }
-    if (prefetcher_ != nullptr) {
-      bs.prefetch_issued = prefetcher_->issued() - issued_;
-      bs.prefetched_balls = prefetcher_->balls_fetched() - fetched_;
-      bs.prefetch_hidden_seconds = prefetcher_->hidden_seconds() - hidden_;
-      bs.prefetch_failures = prefetcher_->failures() - failures_;
     }
   }
 
  private:
   ShardedBallCache* cache_;
-  BallPrefetcher* prefetcher_;
   DiffusionBackend* backend_;
   std::size_t dedup_ = 0;
   std::size_t rejects_ = 0;
-  std::size_t pin_hits_ = 0;
-  std::size_t reextract_ = 0;
-  std::size_t issued_ = 0;
-  std::size_t fetched_ = 0;
-  std::size_t failures_ = 0;
-  double hidden_ = 0.0;
   DispatchHealth health_{};
 };
 
@@ -402,18 +298,9 @@ std::vector<QueryResult> QueryPipeline::query_batch(
 void QueryPipeline::query_stream(SeedStream& stream,
                                  const ResultSink& on_result,
                                  BatchStats* batch_stats) {
-  ShardedBallCache* lookahead = activate_lookahead();
-  // Wall clock after activation: first-call prefetch spawn is not billed.
   Timer wall;
-  if (lookahead != nullptr) {
-    active_batches_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  LookaheadDrain drain(lookahead != nullptr ? prefetcher_.get() : nullptr,
-                       lookahead, &active_batches_);
-  ServingDeltas deltas(engine_->shared_ball_cache(), prefetcher_.get(),
-                       shared_backend_);
+  ServingDeltas deltas(engine_->shared_ball_cache(), shared_backend_);
 
-  RootPrefetchTelemetry root_telemetry;
   util::Mutex tally_mu;
   QueryTally tally;
   if (batch_stats != nullptr) {
@@ -424,27 +311,16 @@ void QueryPipeline::query_stream(SeedStream& stream,
       }
       on_result(index, std::move(r));
     };
-    run_stream_batch(stream, sink, &root_telemetry);
+    run_stream_batch(stream, sink);
   } else {
-    run_stream_batch(stream, on_result, &root_telemetry);
+    run_stream_batch(stream, on_result);
   }
-
-  // Quiesce before reading deltas (and before the caller may tear the
-  // cache down): queued lookahead from the stream's tail would otherwise
-  // keep prefetch threads touching the cache after we return. Unclaimed
-  // pins expire when the last concurrent batch drains (LookaheadDrain) —
-  // their speculation did not pay off, and holding them across batches
-  // would leak footprint.
-  if (lookahead != nullptr) prefetcher_->quiesce();
 
   if (batch_stats != nullptr) {
     *batch_stats = BatchStats{};
     tally.fill(*batch_stats);
     batch_stats->wall_seconds = wall.elapsed_seconds();
     deltas.fill(*batch_stats);
-    batch_stats->root_prefetch_issued = root_telemetry.issued;
-    batch_stats->last_root_prefetch_window = root_telemetry.last_window;
-    batch_stats->prefetch_idle_fraction = root_telemetry.idle_fraction;
   }
 }
 
@@ -521,97 +397,8 @@ std::size_t tree_bytes(const TreeNode& node) {
 }  // namespace
 
 void QueryPipeline::run_stream_batch(SeedStream& stream,
-                                     const ResultSink& on_result,
-                                     RootPrefetchTelemetry* telemetry) {
-  ShardedBallCache* lookahead = activate_lookahead();
+                                     const ResultSink& on_result) {
   const std::size_t mask_words = (threads_ + 63) / 64;
-
-  // --- Cross-query root lookahead (ROADMAP "Cross-query root prefetch").
-  // Unlike stage lookahead (which only knows children once a parent
-  // finishes), the batch knows every upcoming seed up front: the stage-0
-  // balls of the next W unclaimed queries are fed to the prefetch
-  // threads, so a freshly claimed query starts on a warm ball instead of
-  // paying cold-start BFS. `root_horizon` marks how far into the stream
-  // lookahead has been issued — an atomic max so each seed is enqueued
-  // once however many workers claim concurrently. W comes from the
-  // adaptive controller (prefetch-thread idle fraction, EWMA ball bytes)
-  // or the fixed knob, and is always capped by the spare-budget throttle:
-  // speculation may consume spare capacity, at most 1/8 of the budget —
-  // min, not max, so a FULL cache stops speculating entirely instead of
-  // churning at 1/8-budget rate (the PR 4 inversion this fixes).
-  // Correctness never depends on any of it — an unprefetched root just
-  // pays its own BFS, and the cache's in-flight dedup absorbs any race
-  // with the claiming worker.
-  std::atomic<std::size_t> root_horizon{0};
-  std::atomic<std::size_t> roots_issued{0};
-  const unsigned root_radius = engine_->config().stage_lengths.front();
-  // Pinned handoff: hold each root-prefetched ball in the cache's pinned
-  // side-table until its seed is claimed, so a TinyLFU retention
-  // rejection cannot waste the prefetch BFS.
-  const ShardedBallCache::FetchKind root_kind =
-      config_.root_prefetch_pinning
-          ? ShardedBallCache::FetchKind::kPinnedRootPrefetch
-          : ShardedBallCache::FetchKind::kRootPrefetch;
-  const auto root_lookahead = [&](std::size_t next_unclaimed) {
-    if (lookahead == nullptr || config_.root_prefetch_window == 0) return;
-    const std::size_t bytes = lookahead->bytes();
-    const std::size_t budget = lookahead->byte_budget();
-    const std::size_t spare = budget > bytes ? budget - bytes : 0;
-    const std::size_t cap_bytes = std::min(spare, budget / 8);
-    // Stage-0 balls are what root lookahead extracts, so the byte cap is
-    // converted with the stage-0-radius size estimate — the mixed EWMA
-    // (the fallback before any stage-0 extraction completes) is dragged
-    // toward the often-smaller later-stage balls and would overcount the
-    // affordable seeds.
-    std::size_t ewma = lookahead->ewma_ball_bytes(root_radius);
-    if (ewma == 0) ewma = lookahead->ewma_ball_bytes();
-    const std::size_t window = window_controller_->window(
-        prefetcher_->busy_seconds(), uptime_.elapsed_seconds(),
-        prefetcher_->threads(), ewma, cap_bytes);
-    // Snapshot the upcoming seeds under the stream lock: the window is
-    // additionally clamped to what has actually ARRIVED (a later claim
-    // re-extends the horizon as the stream grows), and the CAS still
-    // guarantees each stream index is issued at most once however many
-    // workers claim concurrently.
-    std::vector<graph::NodeId> upcoming;
-    std::size_t from = 0;
-    {
-      util::MutexLock lock(stream.mu_);
-      const std::size_t to =
-          std::min(stream.slots_.size(), next_unclaimed + window);
-      from = root_horizon.load(std::memory_order_relaxed);
-      while (from < to && !root_horizon.compare_exchange_weak(
-                              from, to, std::memory_order_relaxed)) {
-      }
-      if (from >= to) return;  // covered already, or nothing arrived yet
-      // The horizon can lag the claim cursor (a narrowed window leaves a
-      // gap; concurrent claims land out of order): seeds below
-      // `next_unclaimed` are already claimed, so prefetching them is pure
-      // waste — advance the horizon past them without issuing.
-      from = std::max(from, next_unclaimed);
-      upcoming.reserve(to - from);
-      for (std::size_t i = from; i < to; ++i) {
-        upcoming.push_back(stream.slots_[i].seed);
-      }
-    }
-    // Issue outside the lock so extraction enqueue never blocks arrivals.
-    for (std::size_t j = 0; j < upcoming.size(); ++j) {
-      // The stream index doubles as the claim priority: under pin-table
-      // capacity pressure the seeds closest to claim keep their pins.
-      prefetcher_->enqueue(*lookahead, upcoming[j], root_radius, root_kind,
-                           /*claim_priority=*/from + j);
-    }
-    roots_issued.fetch_add(upcoming.size(), std::memory_order_relaxed);
-  };
-  // Queue the head of the stream up front. Against a CPU-style backend
-  // (no wait meter) these run immediately, before the workers' first
-  // claims; under the farm-wait meter they sit queued until the first
-  // dispatch enters the farm — by the meter's own logic the host cores
-  // belong to the workers' initial stage-0 BFS until then — and warm the
-  // rest of the window the moment device time starts flowing. Either way
-  // the cache's in-flight dedup keeps a racing demand fetch from
-  // duplicating the BFS.
-  root_lookahead(0);
 
   std::vector<std::unique_ptr<WorkerDeque>> deques;
   deques.reserve(threads_);
@@ -767,15 +554,6 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
           }
         }
         wake_all();  // parked workers can steal these
-        if (lookahead != nullptr) {
-          // This worker dives into children[0] next; its siblings' balls
-          // are lookahead work for the prefetch threads.
-          for (std::size_t c = 1; c < node.children.size(); ++c) {
-            prefetcher_->enqueue(
-                *lookahead, node.children[c]->task.root,
-                engine_->config().stage_lengths[node.children[c]->task.stage]);
-          }
-        }
       }
     }
     // Republish this worker's transient peak before the release on
@@ -823,14 +601,12 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
           graph::NodeId seed = graph::kInvalidNode;
           double arrival = 0.0;
           std::size_t index = 0;
-          std::size_t cursor_after = 0;
           {
             util::MutexLock lock(stream.mu_);
             if (stream.next_claim_ < stream.slots_.size()) {
               index = stream.next_claim_++;
               seed = stream.slots_[index].seed;
               arrival = stream.slots_[index].arrival_seconds;
-              cursor_after = stream.next_claim_;
               // Raise `live` INSIDE the claim section: an exiting worker
               // re-reads the cursor under this lock, so it can never see
               // "fully claimed" without also seeing this query in flight.
@@ -857,8 +633,6 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
               util::MutexLock lock(inflight_mu);
               inflight.emplace(index, std::move(fresh));
             }
-            // Slide the root-lookahead window past the seed just claimed.
-            root_lookahead(cursor_after);
           }
         }
         if (!have) {  // 3. steal, FIFO — victim's oldest (biggest) subtree
@@ -914,16 +688,6 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
     // returns above, where leftovers unwind with the map instead).
     util::MutexLock lock(inflight_mu);
     MELO_CHECK(inflight.empty());
-  }
-  if (telemetry != nullptr) {
-    telemetry->issued = roots_issued.load(std::memory_order_relaxed);
-    // Window/idle telemetry belongs to THIS batch: zeros unless root
-    // lookahead was actually active here (approximate under concurrent
-    // batches sharing the controller, like the other deltas).
-    if (lookahead != nullptr && window_controller_ != nullptr) {
-      telemetry->last_window = window_controller_->last_window();
-      telemetry->idle_fraction = window_controller_->idle_fraction();
-    }
   }
 }
 

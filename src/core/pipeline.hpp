@@ -33,27 +33,11 @@
 //                          deadline-aware batch formation, and tenant fair
 //                          queueing on top of this call.
 //
-// Host/device overlap: when the engine carries a ShardedBallCache, the
-// pipeline runs a stage-lookahead prefetcher — the moment a task's
-// children are selected, dedicated host threads extract their (next-stage)
-// balls into the shared cache while the current stage's diffusions still
-// occupy the backend. This is the Fig. 4 PS/PL overlap the paper leaves
-// serial: CPU-side BFS, the end-to-end bottleneck of Fig. 7, hides behind
-// device time instead of serializing in front of it. Prefetch never
-// affects scores; a missed prefetch just means the demand fetch pays the
-// BFS itself.
-//
-// The same prefetch threads serve two further lookahead refinements:
-//   * Cross-query root prefetch (root_prefetch_window) — the scheduler
-//     knows every arrived seed, so the stage-0 balls of the next W
-//     unclaimed queries stream into the cache ahead of their claim,
-//     hiding cold-start BFS. Bounded by the cache's spare byte budget so
-//     a small cache is never thrashed by speculation.
-//   * Farm-wait metering (prefetch_wait_meter) — lookahead pauses while a
-//     shared offloading backend reports zero active dispatches: an idle
-//     farm means no worker is blocked device-side, so the host's cores
-//     belong to the demand path and extra BFS threads would oversubscribe
-//     them. Resumes the moment a dispatch enters the farm.
+// Balls are extracted on the demand path: the worker that runs a task
+// fetches its ball through the engine's ShardedBallCache (or extracts it
+// directly without one). There is no host-side lookahead layer;
+// docs/ARCHITECTURE.md ("Why there is no prefetcher") says why the Fig. 4
+// PS/PL overlap was removed and what would bring it back.
 //
 // Backend policy: a thread_safe() backend (CpuBackend, FpgaFarm) is shared
 // by all workers — the farm then receives genuinely concurrent dispatches,
@@ -70,21 +54,17 @@
 // not part of any query's peak (the cache reports them itself).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>  // std::once_flag (the mutexes are util::Mutex)
 #include <span>
 #include <thread>
 #include <vector>
 
-#include "core/adaptive_window.hpp"
 #include "core/config.hpp"
 #include "core/engine.hpp"
-#include "core/prefetcher.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
@@ -100,9 +80,7 @@ namespace meloppr::core {
 /// stream's own monotonic clock; that stamp is what makes
 /// QueryStats::total_seconds an arrival→finalize response time (and
 /// queue_seconds the arrival→claim wait) instead of the claim-clocked
-/// service time the scheduler used to report. The root-prefetch lookahead
-/// window reads upcoming seeds from the same stream, clamped to what has
-/// actually arrived.
+/// service time the scheduler used to report.
 ///
 /// A stream is single-use: fill/close it, hand it to exactly one
 /// query_stream call (pushes may continue while that call runs), and
@@ -156,9 +134,9 @@ class SeedStream {
 class QueryPipeline {
  public:
   /// Batch-level accounting for one query_batch call: what the serving
-  /// layer (cache + prefetcher + stealing) did for the whole stream.
-  /// Cache/prefetch deltas are measured around the call, so concurrent
-  /// batches sharing one engine see each other's traffic folded in.
+  /// layer (cache + stealing) did for the whole stream. Cache deltas are
+  /// measured around the call, so concurrent batches sharing one engine
+  /// see each other's traffic folded in.
   struct BatchStats {
     std::size_t queries = 0;
     double wall_seconds = 0.0;
@@ -167,31 +145,16 @@ class QueryPipeline {
     std::size_t cache_hits = 0;      ///< demand hits (incl. dedup joins)
     std::size_t cache_misses = 0;
     std::size_t dedup_hits = 0;      ///< joins of an in-flight extraction
+    /// No writer, always 0: kept only because bench_e2e reads it.
     std::size_t prefetch_issued = 0;
-    std::size_t prefetched_balls = 0;  ///< lookahead BFS actually performed
-    /// Of prefetch_issued, the requests raised by the cross-query root
-    /// prefetcher (stage-0 balls of upcoming seeds) rather than stage
-    /// lookahead.
-    std::size_t root_prefetch_issued = 0;
-    /// Demand fetches served from the pinned prefetch side-table — root
-    /// lookahead that paid off despite a TinyLFU retention rejection or a
-    /// pre-claim eviction (root_prefetch_pinning only).
-    std::size_t root_prefetch_pin_hits = 0;
-    /// Root-prefetched balls whose BFS a claiming worker paid AGAIN (the
-    /// PR 4 waste; 0 while pinning is on and the pin table has capacity).
+    /// No writer, always 0: kept only because bench_e2e reads it.
     std::size_t root_reextractions = 0;
-    /// Width the root-prefetch window controller chose on its last step of
-    /// this batch (the fixed knob's value when adaptive_root_prefetch is
-    /// off; 0 when root lookahead never ran).
-    std::size_t last_root_prefetch_window = 0;
-    /// Smoothed prefetch-thread idle fraction at batch end, in [0, 1]
-    /// (adaptive controller telemetry; 0 when the controller never ran).
-    double prefetch_idle_fraction = 0.0;
     /// Balls the cache served but declined to retain because a resident
     /// victim was estimated hotter (CacheAdmission::kTinyLFU only).
     std::size_t cache_admission_rejects = 0;
-    double prefetch_hidden_seconds = 0.0;  ///< BFS time moved off demand path
-    double demand_bfs_seconds = 0.0;       ///< BFS time still paid by workers
+    /// No writer, always 0: kept only because bench_e2e reads it.
+    double prefetch_hidden_seconds = 0.0;
+    double demand_bfs_seconds = 0.0;  ///< BFS time paid by the workers
     /// Largest per-query peak_bytes in the batch (upper bound: every
     /// query's peak folds in all workers' transient ball/device
     /// footprints, since tasks of any query may run on any worker).
@@ -213,9 +176,6 @@ class QueryPipeline {
     std::size_t failed_balls = 0;      ///< balls missing from scores entirely
     std::size_t degraded_queries = 0;  ///< outcome() == kDegraded
     std::size_t failed_queries = 0;    ///< outcome() == kFailed
-    /// Prefetch-worker extractions that threw (worker survived and kept
-    /// draining; the demand path re-attempts the ball itself).
-    std::size_t prefetch_failures = 0;
     std::size_t breaker_trips = 0;     ///< closed→open transitions this batch
     std::size_t breaker_probes = 0;    ///< half-open probes this batch
     std::size_t devices = 0;           ///< farm size at batch end
@@ -242,10 +202,8 @@ class QueryPipeline {
     }
   };
 
-  /// Spawns the worker pool and one pooled aggregator arena per worker
-  /// (prefetch threads follow lazily, see prefetcher()). `engine` and
-  /// `backend` must outlive the pipeline. Throws std::invalid_argument on
-  /// a bad config.
+  /// Spawns the worker pool and one pooled aggregator arena per worker.
+  /// `engine` and `backend` must outlive the pipeline.
   QueryPipeline(const Engine& engine, DiffusionBackend& backend,
                 PipelineConfig config = {});
   QueryPipeline(const QueryPipeline&) = delete;
@@ -286,26 +244,10 @@ class QueryPipeline {
   [[nodiscard]] const PipelineConfig& config() const { return config_; }
   [[nodiscard]] const Engine& engine() const { return *engine_; }
 
-  /// The stage-lookahead prefetcher. Created lazily by the first query
-  /// that finds a ShardedBallCache on the engine (threads are pointless
-  /// without one), so this is nullptr until then — and permanently when
-  /// config.prefetch is off or the backend-aware throttle suppresses
-  /// lookahead (config.prefetch_throttle with a backend that computes on
-  /// the host's own cores).
-  [[nodiscard]] const BallPrefetcher* prefetcher() const {
-    return prefetcher_.get();
-  }
   /// The pooled per-worker aggregator arenas (exact maps or bounded c·k
   /// tables, following the engine's aggregation mode).
   [[nodiscard]] const AggregatorPool& aggregator_pool() const {
     return agg_pool_;
-  }
-  /// The root-prefetch window controller (nullptr until the prefetcher
-  /// spawns, and permanently when root_prefetch_window is 0). With
-  /// adaptive_root_prefetch off it is pinned to the fixed window
-  /// (min == max), still applying the spare-budget byte cap.
-  [[nodiscard]] const AdaptiveWindowController* window_controller() const {
-    return window_controller_.get();
   }
 
  private:
@@ -318,62 +260,26 @@ class QueryPipeline {
 
   void worker_loop(std::size_t worker_id);
 
-  /// Per-batch root-lookahead accounting, filled by run_stream_batch so a
-  /// batch never reports another batch's controller state (the controller
-  /// is shared pipeline state; a batch without active lookahead must
-  /// report zeros).
-  struct RootPrefetchTelemetry {
-    std::size_t issued = 0;
-    std::size_t last_window = 0;  ///< 0 unless root lookahead ran
-    double idle_fraction = 0.0;   ///< 0 unless the controller ran
-  };
-
   /// The work-stealing scheduler over a (possibly still growing) seed
   /// stream — every entry point runs through here. Results are
   /// delivered through `on_result` as each query finalizes; serving-layer
-  /// deltas are taken by the caller around this call. `telemetry`
-  /// (optional) receives this batch's root-lookahead accounting.
-  void run_stream_batch(SeedStream& stream, const ResultSink& on_result,
-                        RootPrefetchTelemetry* telemetry = nullptr);
+  /// deltas are taken by the caller around this call.
+  void run_stream_batch(SeedStream& stream, const ResultSink& on_result);
 
   [[nodiscard]] DiffusionBackend& backend_for(std::size_t worker_id) {
     return shared_backend_ != nullptr ? *shared_backend_
                                       : *clones_[worker_id];
   }
 
-  /// Returns the cache to prefetch into when lookahead is active —
-  /// config.prefetch on AND a shared cache installed — spawning the
-  /// prefetch threads on first activation; nullptr otherwise. Called by
-  /// query coordinators, safe from several at once.
-  ShardedBallCache* activate_lookahead();
-
   const Engine* engine_;
   PipelineConfig config_;
   std::size_t threads_;
-  /// Whether the backend runs diffusions off the host (farm/device) — the
-  /// signal the backend-aware prefetch throttle keys on.
-  bool backend_offloads_ = false;
 
   /// Exactly one of these is used: the shared thread-safe backend, or one
   /// clone per worker.
   DiffusionBackend* shared_backend_ = nullptr;
   std::vector<std::unique_ptr<DiffusionBackend>> clones_;
 
-  std::once_flag prefetcher_once_;
-  std::unique_ptr<BallPrefetcher> prefetcher_;
-  /// Width controller for the cross-query root-prefetch window; created
-  /// with the prefetcher whenever root lookahead is enabled. Adaptive
-  /// mode widens between [root_prefetch_window, root_prefetch_max_window];
-  /// fixed mode is the degenerate min == max == root_prefetch_window, so
-  /// both modes share one tested byte-cap conversion.
-  std::unique_ptr<AdaptiveWindowController> window_controller_;
-  /// query_batch calls with active lookahead currently in flight on this
-  /// pipeline — drop_pins() (cache-global) runs only when the last one
-  /// drains, so concurrent batches cannot discard each other's pins.
-  std::atomic<std::size_t> active_batches_{0};
-  /// Monotonic wall clock shared by the controller's idle-fraction
-  /// differentiation (starts with the pipeline).
-  Timer uptime_;
   AggregatorPool agg_pool_;
 
   std::vector<std::thread> workers_;

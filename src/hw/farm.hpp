@@ -114,16 +114,14 @@ class FpgaFarm final : public core::DiffusionBackend {
   /// needed — the farm itself is thread-safe and meant to be shared.
   [[nodiscard]] std::unique_ptr<core::DiffusionBackend> clone() const override;
   [[nodiscard]] bool thread_safe() const override { return true; }
-  /// At most one run per device executes at a time.
+  /// At most one run per device executes at a time. bench_e2e reads it.
   [[nodiscard]] std::size_t max_concurrent_runs() const override {
     return devices_.size();
   }
-  /// Dispatchers block on busy devices — the window the stage-lookahead
-  /// prefetcher fills with host BFS (the backend-aware throttle's signal).
+  /// Dispatchers block on busy devices. bench_e2e reads it.
   [[nodiscard]] bool offloads_compute() const override { return true; }
   /// Live count of threads inside run() (running a device or blocked on
-  /// checkout). 0 means the farm is momentarily idle — the signal the
-  /// pipeline's farm-wait prefetch meter pauses lookahead on. Lock-free.
+  /// checkout); 0 when the farm is idle. Lock-free. bench_e2e reads it.
   [[nodiscard]] std::size_t active_dispatches() const override {
     return active_dispatches_.load(std::memory_order_relaxed);
   }
@@ -152,8 +150,7 @@ class FpgaFarm final : public core::DiffusionBackend {
   [[nodiscard]] std::size_t runs() const;
 
   /// Cumulative wall seconds dispatching threads spent blocked waiting for
-  /// a free device. Large values with idle prefetch threads mean host BFS
-  /// could hide here — the signal the stage-lookahead prefetcher exploits.
+  /// a free device.
   [[nodiscard]] double dispatch_wait_seconds() const;
 
   /// Most devices ever busy simultaneously (≤ device_count). Shows whether

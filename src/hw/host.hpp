@@ -34,8 +34,8 @@ class FpgaBackend final : public core::DiffusionBackend {
   /// thread-safe; the pipeline clones one per worker.
   [[nodiscard]] std::unique_ptr<core::DiffusionBackend> clone() const override;
 
-  /// Diffusion runs on the (simulated) PL, not host cores: the host only
-  /// waits, which is exactly when lookahead BFS is free.
+  /// Diffusion runs on the (simulated) PL, not host cores. bench_e2e reads
+  /// it.
   [[nodiscard]] bool offloads_compute() const override { return true; }
 
   /// Cumulative cycle breakdown since construction / reset_counters().
@@ -47,8 +47,7 @@ class FpgaBackend final : public core::DiffusionBackend {
   /// Simulated busy time of this device since construction / reset: total
   /// cycles at the configured clock. The per-device term of a farm's
   /// serial_seconds(), exposed here so single-device deployments can put
-  /// host-side BFS seconds and device seconds on one axis (the overlap the
-  /// serving layer's prefetcher hides).
+  /// host-side BFS seconds and device seconds on one axis.
   [[nodiscard]] double busy_seconds() const {
     return accel_.seconds(total_.total());
   }

@@ -377,10 +377,7 @@ void expect_surgical_invalidation(DynamicGraph& dyn, ShardedBallCache& cache,
   }
   const auto pre_hits = cache.stats();
   for (const core::BallKey& key : survivors) {
-    const auto f = cache.fetch(key.root, key.radius,
-                               ShardedBallCache::FetchKind::kDemand,
-                               ShardedBallCache::kNoClaimPriority,
-                               dyn.version());
+    const auto f = cache.fetch(key.root, key.radius, dyn.version());
     EXPECT_TRUE(f.hit) << context << ": untouched ball must survive";
   }
   EXPECT_EQ(cache.stats().misses, pre_hits.misses)
@@ -482,8 +479,7 @@ TEST(DynamicGraph, ClearResetsDynamicCounters) {
   // The cache must keep working — and invalidating — after the reset.
   NodeId r = 0;
   while (dyn.degree(r) == 0) ++r;
-  (void)cache.fetch(r, 2, ShardedBallCache::FetchKind::kDemand,
-                    ShardedBallCache::kNoClaimPriority, dyn.version());
+  (void)cache.fetch(r, 2, dyn.version());
   ASSERT_NE(cache.peek({r, 2}), nullptr);
   NodeId far = 0;
   while (far == r || dyn.has_edge(r, far)) ++far;

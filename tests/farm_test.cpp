@@ -37,9 +37,9 @@ TEST(FpgaFarm, NameAndCounts) {
 }
 
 TEST(FpgaFarm, ActiveDispatchGaugeIdlesAtRestAndAfterRuns) {
-  // The farm-wait prefetch meter keys on this gauge: 0 exactly when no
-  // caller is inside run(). A generic backend without a live signal
-  // reports "unknown" (max), which the meter treats as never-pause.
+  // bench_e2e forwards these hooks: the gauge is 0 exactly when no caller
+  // is inside run(), and a generic backend without a live signal reports
+  // "unknown" (max). Only the farm offloads compute off the host.
   Rng rng(75);
   Graph g = graph::barabasi_albert(300, 2, 2, rng);
   FpgaFarm farm = make_farm(2);
@@ -50,6 +50,8 @@ TEST(FpgaFarm, ActiveDispatchGaugeIdlesAtRestAndAfterRuns) {
   core::CpuBackend cpu(0.85);
   EXPECT_EQ(cpu.active_dispatches(),
             std::numeric_limits<std::size_t>::max());
+  EXPECT_TRUE(farm.offloads_compute());
+  EXPECT_FALSE(cpu.offloads_compute());
 }
 
 TEST(FpgaFarm, NumericsMatchSingleBackend) {

@@ -596,8 +596,8 @@ TEST(FaultTolerantBatch, InvariantViolationsStillAbortTheBatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent fault hammer (the TSan target): stealing batch + prefetch +
-// faulty farm + flaky extractor, all at once.
+// Concurrent fault hammer (the TSan target): stealing batch + shared
+// cache + faulty farm + flaky extractor, all at once.
 // ---------------------------------------------------------------------------
 
 TEST(FaultTolerantBatch, ConcurrentFaultHammer) {
@@ -637,7 +637,6 @@ TEST(FaultTolerantBatch, ConcurrentFaultHammer) {
 
   PipelineConfig pcfg;
   pcfg.threads = 4;
-  pcfg.prefetch = true;
   QueryPipeline pipeline(engine, failover, pcfg);
   QueryPipeline::BatchStats batch;
   std::vector<QueryResult> got;

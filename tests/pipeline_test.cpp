@@ -1,12 +1,10 @@
 // QueryPipeline behaviors beyond score equivalence (covered by
 // scheduler_equivalence_test): backend sharing vs cloning, farm
 // integration, worker accounting, merged memory metering, degenerate
-// batches, error propagation, and config validation.
+// batches, and error propagation.
 #include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
-
-#include <stdexcept>
 
 #include "graph/generators.hpp"
 #include "hw/farm.hpp"
@@ -38,26 +36,6 @@ hw::FpgaFarm make_farm(std::size_t devices) {
   hw::AcceleratorConfig cfg;
   cfg.parallelism = 4;
   return hw::FpgaFarm(devices, cfg, hw::Quantizer(0.85, 10, 50'000'000));
-}
-
-TEST(QueryPipeline, ConfigValidation) {
-  Rng rng(81);
-  Graph g = graph::barabasi_albert(200, 2, 2, rng);
-  Engine engine(g, small_config());
-  CpuBackend backend(0.85);
-  // The adaptive root-prefetch controller needs room to widen into.
-  PipelineConfig bad;
-  bad.adaptive_root_prefetch = true;
-  bad.root_prefetch_window = 4;
-  bad.root_prefetch_max_window = 0;
-  EXPECT_THROW(QueryPipeline(engine, backend, bad), std::invalid_argument);
-  // Either the fixed window or disabled root lookahead makes it moot.
-  PipelineConfig fixed = bad;
-  fixed.adaptive_root_prefetch = false;
-  EXPECT_NO_THROW(QueryPipeline(engine, backend, fixed));
-  PipelineConfig off = bad;
-  off.root_prefetch_window = 0;
-  EXPECT_NO_THROW(QueryPipeline(engine, backend, off));
 }
 
 TEST(QueryPipeline, ResolvedThreadsDefaultsPositive) {

@@ -132,9 +132,9 @@ TEST(QueryStream, ResponseTimesMonotoneOnOneWorker) {
 }
 
 TEST(QueryStream, BatchWallExcludesActivationAndPercentilesCohere) {
-  // Two equal batches back to back: the second must not be charged for
-  // one-time setup the first already paid (wall starts after
-  // activate_lookahead), so equal work stays within a generous factor.
+  // Two equal batches back to back: neither may be charged for one-time
+  // pipeline setup (the pool spawns in the constructor, before any batch
+  // wall clock starts), so equal work stays within a generous factor.
   const Graph& g = test_graph();
   Engine engine(g, small_config());
   CpuBackend backend(0.85);

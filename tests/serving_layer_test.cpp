@@ -1,16 +1,13 @@
 // The concurrent serving layer on top of the QueryPipeline: sharded cache
-// integration, stage-lookahead prefetch equivalence, work-stealing
-// scheduling (bit-identical scores, skew behavior), per-query memory
-// accounting next to a shared cache, and aggregator pooling.
+// integration, work-stealing scheduling (bit-identical scores, skew
+// behavior), batch accounting, per-query memory accounting next to a
+// shared cache, and aggregator pooling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -70,7 +67,6 @@ TEST(ServingLayer, StealingBatchBitIdenticalToSerialEngine) {
 
   PipelineConfig pcfg;
   pcfg.threads = 4;
-  pcfg.prefetch = true;
   QueryPipeline pipeline(engine, backend, pcfg);
   const std::vector<QueryResult> results = pipeline.query_batch(seeds);
   engine.set_shared_ball_cache(nullptr);
@@ -82,372 +78,6 @@ TEST(ServingLayer, StealingBatchBitIdenticalToSerialEngine) {
     // Stage accounting survives out-of-order execution: the DFS-order
     // reduction must reproduce the serial ball counts exactly.
     EXPECT_EQ(results[i].stats.total_balls(), want.stats.total_balls());
-  }
-}
-
-TEST(ServingLayer, PrefetchOnOffScoresIdentical) {
-  Rng rng(93);
-  Graph g = graph::barabasi_albert(900, 2, 2, rng);
-  Engine engine(g, small_config());
-  std::vector<graph::NodeId> seeds{7, 7, 123, 400, 7, 881, 123};
-
-  const auto run = [&](bool prefetch) {
-    CpuBackend backend(0.85);
-    ShardedBallCache cache(g, 128u << 20);
-    engine.set_shared_ball_cache(&cache);
-    PipelineConfig pcfg;
-    pcfg.threads = 4;
-    pcfg.prefetch = prefetch;
-    // Un-throttled so the CPU backend actually exercises lookahead (the
-    // equivalence under test is prefetch-on vs prefetch-off numerics).
-    pcfg.prefetch_throttle = false;
-    QueryPipeline pipeline(engine, backend, pcfg);
-    auto results = pipeline.query_batch(seeds);
-    engine.set_shared_ball_cache(nullptr);
-    return results;
-  };
-
-  const auto off = run(false);
-  const auto on = run(true);
-  ASSERT_EQ(off.size(), on.size());
-  for (std::size_t i = 0; i < off.size(); ++i) {
-    expect_bit_identical(off[i], on[i]);
-  }
-}
-
-TEST(ServingLayer, SingleQueryPrefetchesLookahead) {
-  Rng rng(94);
-  Graph g = graph::barabasi_albert(900, 2, 2, rng);
-  MelopprConfig cfg = small_config();
-  cfg.selection = Selection::top_count(24);
-  Engine engine(g, cfg);
-  CpuBackend backend(0.85);
-  ShardedBallCache cache(g, 128u << 20);
-  engine.set_shared_ball_cache(&cache);
-
-  PipelineConfig pcfg;
-  pcfg.threads = 2;
-  pcfg.prefetch = true;
-  pcfg.prefetch_threads = 2;
-  // CPU backend: the backend-aware throttle would keep lookahead off; this
-  // test measures the lookahead mechanism itself, so force it on.
-  pcfg.prefetch_throttle = false;
-  pcfg.root_prefetch_window = 0;  // stage lookahead only
-  QueryPipeline pipeline(engine, backend, pcfg);
-  // Lazy: prefetch threads spawn on the first query that sees the cache.
-  EXPECT_EQ(pipeline.prefetcher(), nullptr);
-
-  const QueryResult with_prefetch = pipeline.query(11);
-  ASSERT_NE(pipeline.prefetcher(), nullptr);
-  // The worker that ran the root dives into the first stage-2 child
-  // itself; every other child was announced to the prefetcher the moment
-  // the root task finished.
-  ASSERT_GT(with_prefetch.stats.stages[1].balls, 1u);
-  EXPECT_EQ(pipeline.prefetcher()->issued(),
-            with_prefetch.stats.stages[1].balls - 1);
-  // Scores are identical to a prefetch-free pipeline and to the serial
-  // engine: prefetch changes cache temperature, never the reduction.
-  PipelineConfig no_pf = pcfg;
-  no_pf.prefetch = false;
-  ShardedBallCache cold(g, 128u << 20);
-  engine.set_shared_ball_cache(&cold);
-  QueryPipeline plain(engine, backend, no_pf);
-  expect_bit_identical(plain.query(11), with_prefetch);
-  engine.set_shared_ball_cache(nullptr);
-  expect_bit_identical(engine.query(11), with_prefetch);
-}
-
-TEST(ServingLayer, PrefetchThrottleKeepsCpuBackendUnoversubscribed) {
-  // ROADMAP "Prefetch throttling": on a CPU-only backend the workers
-  // compute on the host's own cores, so lookahead threads would only
-  // oversubscribe. With the default backend-aware throttle the pipeline
-  // must never spawn them — the regression this test pins down.
-  Rng rng(98);
-  Graph g = graph::barabasi_albert(700, 2, 2, rng);
-  Engine engine(g, small_config());
-  CpuBackend backend(0.85);
-  ShardedBallCache cache(g, 64u << 20);
-  engine.set_shared_ball_cache(&cache);
-
-  PipelineConfig pcfg;  // prefetch on, prefetch_throttle on (defaults)
-  pcfg.threads = 4;
-  ASSERT_TRUE(pcfg.prefetch);
-  ASSERT_TRUE(pcfg.prefetch_throttle);
-  QueryPipeline pipeline(engine, backend, pcfg);
-
-  (void)pipeline.query(9);  // the single-query route spawns nothing either
-  QueryPipeline::BatchStats batch;
-  const std::vector<graph::NodeId> seeds{9, 42, 9, 300};
-  const auto results = pipeline.query_batch(seeds, &batch);
-  engine.set_shared_ball_cache(nullptr);
-
-  // No extraction threads were ever spawned, and no lookahead was issued:
-  // every core stays with the demand path.
-  EXPECT_EQ(pipeline.prefetcher(), nullptr);
-  EXPECT_EQ(batch.prefetch_issued, 0u);
-  // Scores are unaffected — the throttle changes scheduling only.
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    expect_bit_identical(engine.query(seeds[i]), results[i]);
-  }
-}
-
-TEST(ServingLayer, PrefetchThrottleAdmitsOffloadingBackend) {
-  // The same default configuration against a device farm must prefetch:
-  // dispatchers block on busy devices, which is exactly the window the
-  // lookahead threads fill with host BFS.
-  Rng rng(99);
-  Graph g = graph::barabasi_albert(700, 2, 2, rng);
-  MelopprConfig cfg = small_config();
-  cfg.selection = Selection::top_count(16);
-  Engine engine(g, cfg);
-  hw::AcceleratorConfig acfg;
-  acfg.parallelism = 4;
-  hw::FpgaFarm farm(2, acfg, hw::Quantizer(0.85, 10, 50'000'000));
-  ASSERT_TRUE(farm.offloads_compute());
-  ASSERT_FALSE(CpuBackend(0.85).offloads_compute());
-  ShardedBallCache cache(g, 64u << 20);
-  engine.set_shared_ball_cache(&cache);
-
-  PipelineConfig pcfg;  // defaults again — only the backend differs
-  pcfg.threads = 4;
-  QueryPipeline pipeline(engine, farm, pcfg);
-  const QueryResult r = pipeline.query(9);
-  engine.set_shared_ball_cache(nullptr);
-
-  ASSERT_NE(pipeline.prefetcher(), nullptr);
-  // One root-lookahead request for the seed (the cold cache holds the
-  // default window at its floor), plus one stage-lookahead request for
-  // every stage-2 child but the first, which the root's worker runs next.
-  EXPECT_EQ(pipeline.prefetcher()->issued(), r.stats.stages[1].balls);
-}
-
-TEST(ServingLayer, CrossQueryRootPrefetchWarmsUpcomingSeeds) {
-  // ROADMAP "Cross-query root prefetch": the stealing batch knows every
-  // upcoming seed; their stage-0 balls must reach the prefetcher (bounded
-  // by the window), and scores must stay bit-identical — root lookahead
-  // changes cache temperature only.
-  Rng rng(101);
-  Graph g = graph::barabasi_albert(900, 2, 2, rng);
-  Engine engine(g, small_config());
-  std::vector<graph::NodeId> seeds;
-  for (graph::NodeId s = 0; s < 12; ++s) seeds.push_back(s * 71 % 900);
-
-  const auto serve = [&](std::size_t window) {
-    CpuBackend backend(0.85);
-    ShardedBallCache cache(g, 128u << 20);
-    engine.set_shared_ball_cache(&cache);
-    PipelineConfig pcfg;
-    pcfg.threads = 4;
-    pcfg.prefetch = true;
-    pcfg.prefetch_throttle = false;  // CPU backend; exercise the mechanism
-    pcfg.root_prefetch_window = window;
-    QueryPipeline pipeline(engine, backend, pcfg);
-    QueryPipeline::BatchStats batch;
-    const auto results = pipeline.query_batch(seeds, &batch);
-    engine.set_shared_ball_cache(nullptr);
-    return std::pair{results, batch};
-  };
-
-  const auto [with_roots, batch] = serve(4);
-  // The pre-batch warm-up alone issues the first window, and every seed is
-  // issued at most once however many workers claim concurrently.
-  EXPECT_GT(batch.root_prefetch_issued, 0u);
-  EXPECT_LE(batch.root_prefetch_issued, seeds.size());
-  EXPECT_GE(batch.prefetch_issued, batch.root_prefetch_issued);
-
-  const auto [without, batch_off] = serve(0);
-  EXPECT_EQ(batch_off.root_prefetch_issued, 0u);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    expect_bit_identical(engine.query(seeds[i]), with_roots[i]);
-    expect_bit_identical(without[i], with_roots[i]);
-  }
-}
-
-TEST(ServingLayer, SaturatedCacheIssuesNoRootPrefetches) {
-  // The corrected spare-budget throttle (min(spare, budget/8), not max):
-  // a cache with no spare capacity must not speculate at all. The old
-  // inversion kept a FULL cache prefetching at 1/8-budget rate, churning
-  // exactly the small caches the throttle exists to protect. Every ball
-  // the batch touches is pre-filled, so byte accounting is constant for
-  // the whole run and the assertion is deterministic.
-  Graph g = graph::fixtures::cycle(600);
-  Engine engine(g, small_config());
-  // All radius-3 cycle balls have identical footprints; probe one.
-  std::size_t ball;
-  {
-    ShardedBallCache probe(g, 1 << 20, 1);
-    probe.get(0, 3);
-    ball = probe.bytes();
-  }
-  ASSERT_GT(ball, 0u);
-
-  // Seeds spaced ≥ 7 apart: each query touches exactly the radius-3 balls
-  // rooted in [seed-3, seed+3] (stage-1 children stay inside the stage-0
-  // ball on a cycle), so the working set is 7 balls per seed.
-  std::vector<graph::NodeId> seeds;
-  for (graph::NodeId s = 0; s < 10; ++s) seeds.push_back(50 + s * 40);
-
-  for (const bool adaptive : {true, false}) {
-    CpuBackend backend(0.85);
-    // Budget = working set + half a ball: everything resident, spare
-    // pinned under one ball for the entire batch.
-    ShardedBallCache cache(g, 70 * ball + ball / 2, 1);
-    for (graph::NodeId seed : seeds) {
-      for (graph::NodeId d = 0; d < 7; ++d) cache.get(seed - 3 + d, 3);
-    }
-    ASSERT_EQ(cache.entries(), 70u);
-    ASSERT_LT(cache.byte_budget() - cache.bytes(), ball);
-    ASSERT_GT(cache.ewma_ball_bytes(), 0u);
-
-    engine.set_shared_ball_cache(&cache);
-    PipelineConfig pcfg;
-    pcfg.threads = 4;
-    pcfg.prefetch = true;
-    pcfg.prefetch_throttle = false;  // CPU backend; exercise the mechanism
-    pcfg.adaptive_root_prefetch = adaptive;
-    pcfg.root_prefetch_window = 4;
-    QueryPipeline pipeline(engine, backend, pcfg);
-    QueryPipeline::BatchStats batch;
-    pipeline.query_batch(seeds, &batch);
-    engine.set_shared_ball_cache(nullptr);
-
-    EXPECT_EQ(batch.root_prefetch_issued, 0u) << "adaptive=" << adaptive;
-    EXPECT_GT(batch.prefetch_issued, 0u);  // stage lookahead is unaffected
-    EXPECT_EQ(batch.cache_misses, 0u);     // the working set stayed warm
-  }
-}
-
-TEST(ServingLayer, AdaptiveRootPrefetchReportsWindowAndKeepsScores) {
-  // The adaptive controller replaces the fixed window: lookahead still
-  // reaches the prefetcher (bounded by max_window), telemetry lands in
-  // BatchStats, and scores never move — the controller only changes cache
-  // temperature.
-  Rng rng(103);
-  Graph g = graph::barabasi_albert(900, 2, 2, rng);
-  Engine engine(g, small_config());
-  std::vector<graph::NodeId> seeds;
-  for (graph::NodeId s = 0; s < 16; ++s) seeds.push_back(s * 53 % 900);
-
-  CpuBackend backend(0.85);
-  ShardedBallCache cache(g, 128u << 20);
-  engine.set_shared_ball_cache(&cache);
-  PipelineConfig pcfg;
-  pcfg.threads = 4;
-  pcfg.prefetch = true;
-  pcfg.prefetch_throttle = false;
-  pcfg.adaptive_root_prefetch = true;
-  pcfg.root_prefetch_max_window = 8;
-  QueryPipeline pipeline(engine, backend, pcfg);
-  QueryPipeline::BatchStats batch;
-  const auto results = pipeline.query_batch(seeds, &batch);
-  engine.set_shared_ball_cache(nullptr);
-
-  ASSERT_NE(pipeline.window_controller(), nullptr);
-  EXPECT_GT(batch.root_prefetch_issued, 0u);
-  EXPECT_LE(batch.root_prefetch_issued, seeds.size());
-  EXPECT_GE(batch.last_root_prefetch_window, 1u);
-  EXPECT_LE(batch.last_root_prefetch_window, 8u);
-  EXPECT_GE(batch.prefetch_idle_fraction, 0.0);
-  EXPECT_LE(batch.prefetch_idle_fraction, 1.0);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    expect_bit_identical(engine.query(seeds[i]), results[i]);
-  }
-}
-
-TEST(ServingLayer, PinnedHandoffNeverReextractsAndKeepsScores) {
-  // Pinned prefetch handoff under admission pressure: with pinning on,
-  // zero root-prefetched balls may be re-extracted by claiming workers —
-  // the feature's hard guarantee while the pin table has capacity — and
-  // pin accounting stays consistent. Scores are bit-identical throughout.
-  Rng rng(104);
-  Graph g = graph::barabasi_albert(1000, 2, 2, rng);
-  Engine engine(g, small_config());
-  // Mixed stream: a popular head (stays hot in the sketch) + a cold tail.
-  std::vector<graph::NodeId> seeds;
-  for (graph::NodeId s = 0; s < 24; ++s) {
-    seeds.push_back(s % 3 == 0 ? 7 : (s * 97 % 1000));
-  }
-
-  CpuBackend backend(0.85);
-  // Tight TinyLFU cache: cold root prefetches can lose their duels.
-  ShardedBallCache cache(g, 512u << 10, 4, CacheAdmission::kTinyLFU);
-  engine.set_shared_ball_cache(&cache);
-  PipelineConfig pcfg;
-  pcfg.threads = 4;
-  pcfg.prefetch = true;
-  pcfg.prefetch_throttle = false;
-  pcfg.root_prefetch_pinning = true;
-  QueryPipeline pipeline(engine, backend, pcfg);
-  QueryPipeline::BatchStats batch;
-  const auto results = pipeline.query_batch(seeds, &batch);
-
-  EXPECT_EQ(batch.root_reextractions, 0u);
-  EXPECT_GE(cache.pins_installed(), cache.pin_hits());
-  EXPECT_EQ(cache.pinned_entries(), 0u);  // all pins consumed or expired
-  engine.set_shared_ball_cache(nullptr);
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    expect_bit_identical(engine.query(seeds[i]), results[i]);
-  }
-}
-
-TEST(ServingLayer, PrefetcherPauseGateHoldsAndReleasesWork) {
-  // The farm-wait meter's mechanism in isolation: while the pause gate is
-  // closed, queued requests are not touched; opening it drains them.
-  Rng rng(102);
-  Graph g = graph::barabasi_albert(500, 2, 2, rng);
-  ShardedBallCache cache(g, 64u << 20, 4);
-  std::atomic<bool> paused{true};
-  BallPrefetcher prefetcher(2, [&paused] { return paused.load(); });
-  prefetcher.enqueue(cache, 3, 2);
-  prefetcher.enqueue(cache, 99, 2);
-  EXPECT_EQ(prefetcher.issued(), 2u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(prefetcher.completed(), 0u);  // gate closed: nothing ran
-  EXPECT_EQ(cache.entries(), 0u);
-  paused.store(false);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (prefetcher.completed() < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(prefetcher.completed(), 2u);  // gate open: queue drained
-  EXPECT_EQ(prefetcher.balls_fetched(), 2u);
-  EXPECT_EQ(cache.entries(), 2u);
-}
-
-TEST(ServingLayer, FarmWaitMeterKeepsScoresIdentical) {
-  // Integration: the default farm-wait meter (prefetch_wait_meter) against
-  // a real farm — lookahead pauses and resumes with farm occupancy, and
-  // none of it may touch numerics.
-  Rng rng(103);
-  Graph g = graph::barabasi_albert(700, 2, 2, rng);
-  MelopprConfig cfg = small_config();
-  cfg.selection = Selection::top_count(16);
-  Engine engine(g, cfg);
-  hw::AcceleratorConfig acfg;
-  acfg.parallelism = 4;
-  hw::FpgaFarm farm(2, acfg, hw::Quantizer(0.85, 10, 50'000'000));
-  EXPECT_EQ(farm.active_dispatches(), 0u);  // idle farm reports zero
-  ShardedBallCache cache(g, 64u << 20);
-  engine.set_shared_ball_cache(&cache);
-
-  PipelineConfig pcfg;  // prefetch, throttle, and wait meter all default-on
-  pcfg.threads = 4;
-  ASSERT_TRUE(pcfg.prefetch_wait_meter);
-  QueryPipeline pipeline(engine, farm, pcfg);
-  const std::vector<graph::NodeId> seeds{9, 42, 9, 300};
-  const auto results = pipeline.query_batch(seeds);
-  engine.set_shared_ball_cache(nullptr);
-  EXPECT_EQ(farm.active_dispatches(), 0u);  // gauge returns to idle
-
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    const std::unique_ptr<ScoreAggregator> agg =
-        make_serial_aggregator(cfg.aggregation, cfg.k, cfg.topck_c);
-    // Reference through the same farm numerics (FPGA quantization differs
-    // from CPU): serial engine + a fresh farm clone.
-    const auto clone = farm.clone();
-    expect_bit_identical(engine.query(seeds[i], *clone, *agg), results[i]);
   }
 }
 
@@ -477,7 +107,6 @@ TEST(ServingLayer, WorkStealingSpreadsHeavyQuery) {
   CpuBackend backend(0.85);
   PipelineConfig pcfg;
   pcfg.threads = 4;
-  pcfg.prefetch = false;
   QueryPipeline pipeline(engine, backend, pcfg);
   QueryPipeline::BatchStats batch;
   const std::vector<QueryResult> results =
@@ -496,10 +125,8 @@ TEST(ServingLayer, WorkStealingSpreadsHeavyQuery) {
 TEST(ServingLayer, BatchStatsAreCoherent) {
   Rng rng(96);
   Graph g = graph::barabasi_albert(800, 2, 2, rng);
-  Engine engine(g, small_config());
-  CpuBackend backend(0.85);
-  ShardedBallCache cache(g, 64u << 20);
-  engine.set_shared_ball_cache(&cache);
+  MelopprConfig cfg = small_config();
+  Engine engine(g, cfg);
 
   // Popular-seed skew: repeats must show up as cache hits.
   std::vector<graph::NodeId> seeds;
@@ -507,34 +134,72 @@ TEST(ServingLayer, BatchStatsAreCoherent) {
     for (graph::NodeId s : {5u, 77u, 300u}) seeds.push_back(s);
   }
 
-  PipelineConfig pcfg;
-  pcfg.threads = 4;
-  QueryPipeline pipeline(engine, backend, pcfg);
-  QueryPipeline::BatchStats batch;
-  const auto results = pipeline.query_batch(seeds, &batch);
-  engine.set_shared_ball_cache(nullptr);
+  // Two stacks: a CPU backend over a plain LRU cache, and a shared device
+  // farm over a tight TinyLFU cache (the shape of bench_e2e's farm_offload
+  // stack).
+  hw::AcceleratorConfig acfg;
+  acfg.parallelism = 4;
+  hw::FpgaFarm farm(2, acfg, hw::Quantizer(0.85, 10, 50'000'000));
+  CpuBackend cpu(0.85);
+  struct Stack {
+    const char* name;
+    DiffusionBackend* backend;
+    std::size_t cache_bytes;
+    CacheAdmission admission;
+  };
+  for (const Stack& stack :
+       {Stack{"cpu+lru", &cpu, 64u << 20, CacheAdmission::kAlways},
+        Stack{"farm+tinylfu", &farm, 512u << 10, CacheAdmission::kTinyLFU}}) {
+    SCOPED_TRACE(stack.name);
+    ShardedBallCache cache(g, stack.cache_bytes, 4, stack.admission);
+    engine.set_shared_ball_cache(&cache);
+    PipelineConfig pcfg;
+    pcfg.threads = 4;
+    QueryPipeline pipeline(engine, *stack.backend, pcfg);
+    QueryPipeline::BatchStats batch;
+    const auto results = pipeline.query_batch(seeds, &batch);
+    engine.set_shared_ball_cache(nullptr);
 
-  EXPECT_EQ(batch.queries, seeds.size());
-  EXPECT_GT(batch.wall_seconds, 0.0);
-  std::size_t balls = 0;
-  for (const auto& r : results) balls += r.stats.total_balls();
-  EXPECT_EQ(batch.executed_tasks, balls);
-  // Every extraction went through the cache: hits + misses == balls.
-  EXPECT_EQ(batch.cache_hits + batch.cache_misses, balls);
-  EXPECT_GT(batch.cache_hits, 0u);  // repeated seeds share balls
-  EXPECT_GT(batch.cache_hit_rate(), 0.0);
-  // Per-query stats expose the same counters.
-  std::size_t per_query_hits = 0;
-  for (const auto& r : results) per_query_hits += r.stats.cache_hits();
-  EXPECT_EQ(per_query_hits, batch.cache_hits);
+    EXPECT_EQ(batch.queries, seeds.size());
+    EXPECT_GT(batch.wall_seconds, 0.0);
+    std::size_t balls = 0;
+    for (const auto& r : results) balls += r.stats.total_balls();
+    EXPECT_EQ(batch.executed_tasks, balls);
+    // Every extraction went through the cache: hits + misses == balls.
+    EXPECT_EQ(batch.cache_hits + batch.cache_misses, balls);
+    EXPECT_GT(batch.cache_hits, 0u);  // repeated seeds share balls
+    EXPECT_GT(batch.cache_hit_rate(), 0.0);
+    // Per-query stats expose the same counters.
+    std::size_t per_query_hits = 0;
+    for (const auto& r : results) per_query_hits += r.stats.cache_hits();
+    EXPECT_EQ(per_query_hits, batch.cache_hits);
+    // There is no lookahead layer: the fields bench_e2e still reads have
+    // no writer on any stack, the farm included.
+    EXPECT_EQ(batch.prefetch_issued, 0u);
+    EXPECT_EQ(batch.prefetch_hidden_seconds, 0.0);
+    EXPECT_EQ(batch.root_reextractions, 0u);
+    EXPECT_EQ(cache.stats().pin_hits, 0u);
+    // Scores are bit-identical to the serial engine through the same
+    // numerics (a fresh clone of the backend: farm quantization differs
+    // from the CPU kernel).
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      const std::unique_ptr<ScoreAggregator> agg =
+          make_serial_aggregator(cfg.aggregation, cfg.k, cfg.topck_c);
+      const std::unique_ptr<DiffusionBackend> reference =
+          stack.backend->clone();
+      expect_bit_identical(engine.query(seeds[i], *reference, *agg),
+                           results[i]);
+    }
 
-  // A long-lived server reuses one BatchStats across batches: each call
-  // must overwrite, never accumulate.
-  engine.set_shared_ball_cache(&cache);
-  pipeline.query_batch(seeds, &batch);
-  engine.set_shared_ball_cache(nullptr);
-  EXPECT_EQ(batch.queries, seeds.size());
-  EXPECT_EQ(batch.executed_tasks, balls);
+    // A long-lived server reuses one BatchStats across batches: each call
+    // must overwrite, never accumulate.
+    engine.set_shared_ball_cache(&cache);
+    pipeline.query_batch(seeds, &batch);
+    engine.set_shared_ball_cache(nullptr);
+    EXPECT_EQ(batch.queries, seeds.size());
+    EXPECT_EQ(batch.executed_tasks, balls);
+  }
+  EXPECT_EQ(farm.active_dispatches(), 0u);  // the gauge returns to idle
 }
 
 TEST(ServingLayer, QueryPeakExcludesSharedCacheFootprint) {
