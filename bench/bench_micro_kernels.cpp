@@ -186,24 +186,44 @@ void BM_Selection(benchmark::State& state) {
 }
 BENCHMARK(BM_Selection)->Arg(1000)->Arg(100000)->Unit(benchmark::kMicrosecond);
 
+/// The 10k-update stream both aggregation rows replay: ids over 50k nodes.
+const std::vector<std::pair<graph::NodeId, double>>& aggregation_stream() {
+  static const auto stream = [] {
+    Rng rng(19);
+    std::vector<std::pair<graph::NodeId, double>> s;
+    for (std::size_t i = 0; i < 10000; ++i) {
+      s.emplace_back(static_cast<graph::NodeId>(rng.below(50000)),
+                     rng.uniform() * 1e-3);
+    }
+    return s;
+  }();
+  return stream;
+}
+
 void BM_TopCkAggregation(benchmark::State& state) {
-  Rng rng(19);
-  const std::size_t updates = 10000;
-  std::vector<std::pair<graph::NodeId, double>> stream;
-  for (std::size_t i = 0; i < updates; ++i) {
-    stream.emplace_back(static_cast<graph::NodeId>(rng.below(50000)),
-                        rng.uniform() * 1e-3);
-  }
+  const auto& stream = aggregation_stream();
   for (auto _ : state) {
     core::TopCKAggregator agg(static_cast<std::size_t>(state.range(0)));
     for (const auto& [node, delta] : stream) agg.add(node, delta);
     benchmark::DoNotOptimize(agg);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(updates));
+                          static_cast<std::int64_t>(stream.size()));
 }
 BENCHMARK(BM_TopCkAggregation)->Arg(400)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
+
+void BM_ExactAggregation(benchmark::State& state) {
+  const auto& stream = aggregation_stream();
+  for (auto _ : state) {
+    core::ExactAggregator agg;
+    for (const auto& [node, delta] : stream) agg.add(node, delta);
+    benchmark::DoNotOptimize(agg);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK(BM_ExactAggregation)->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndQuery(benchmark::State& state) {
   const graph::Graph& g = cached_graph(static_cast<int>(state.range(0)));

@@ -139,7 +139,7 @@ int run() {
 
   // --- Aggregation mode A/B (top-c·k aggregation in the pipeline). Same
   // stream, repeated four times; pooled arenas keep each worker's storage
-  // warm across queries (hash-map buckets for exact, fixed BRAM slots for
+  // warm across queries (the grown flat table for exact, fixed BRAM slots for
   // bounded), and the bounded row shows the c·k memory envelope riding the
   // same batch path. Deeper bounded A/B (recall, thread sweep, memory
   // gate) lives in bench_topck_pipeline.

@@ -14,7 +14,7 @@
 //   peak agg entries  — largest per-query score-table occupancy; bounded
 //                       mode must stay ≤ c·k per in-flight query
 //   agg bytes         — the per-query aggregation footprint (fixed BRAM
-//                       model for bounded, hash-map model for exact)
+//                       model for bounded, flat-table capacity for exact)
 //   evictions         — Σ min-evictions (zero would mean the bound never
 //                       engaged — then the A/B proves nothing)
 //

@@ -9,21 +9,78 @@
 
 namespace meloppr::core {
 
+void NodeIndex::assign(std::size_t buckets) {
+  MELO_DCHECK(std::has_single_bit(buckets));
+  buckets_.assign(buckets, kEmpty);
+  mask_ = buckets - 1;
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
+}
+
+void NodeIndex::erase(std::size_t b, std::span<const ScoredNode> entries) {
+  for (std::size_t next = (b + 1) & mask_; buckets_[next] != kEmpty;
+       next = (next + 1) & mask_) {
+    // An entry may fill the hole only if its home bucket does not lie
+    // cyclically in (b, next] — otherwise moving it would put it before
+    // its own home and lookups would miss it.
+    const std::size_t h = home(entries[buckets_[next]].node);
+    const bool stays = b <= next ? (b < h && h <= next) : (b < h || h <= next);
+    if (stays) continue;
+    buckets_[b] = buckets_[next];
+    b = next;
+  }
+  buckets_[b] = kEmpty;
+}
+
+namespace {
+/// A fresh exact table's bucket count; pooled arenas grow past it once.
+constexpr std::size_t kInitialBuckets = 64;
+}  // namespace
+
+ExactAggregator::ExactAggregator() {
+  index_.assign(kInitialBuckets);
+  entries_.reserve(kInitialBuckets / 2);
+}
+
 void ExactAggregator::add(graph::NodeId node, double delta) {
-  scores_[node] += delta;
+  std::size_t b = index_.find(node, entries_);
+  if (index_[b] != NodeIndex::kEmpty) {
+    entries_[index_[b]].score += delta;
+    return;
+  }
+  if (2 * (entries_.size() + 1) > index_.buckets()) {
+    grow();
+    b = index_.find(node, entries_);
+  }
+  index_[b] = static_cast<std::uint32_t>(entries_.size());
+  // 0.0 + delta, not delta: the first add of −0.0 yields +0.0, exactly as
+  // `+=` into a value-initialised score does.
+  entries_.push_back({node, 0.0 + delta});
+}
+
+void ExactAggregator::grow() {
+  index_.assign(2 * index_.buckets());
+  entries_.reserve(index_.buckets() / 2);
+  for (std::uint32_t pos = 0; pos < entries_.size(); ++pos) {
+    index_[index_.find(entries_[pos].node, entries_)] = pos;
+  }
+}
+
+void ExactAggregator::clear() {
+  // Last inserted first: each entry's probe chain then holds only earlier
+  // entries, which are still in place, so find() reaches its bucket (grow()
+  // re-inserts in entry order, which keeps this true across doublings).
+  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+    index_[index_.find(it->node, entries_)] = NodeIndex::kEmpty;
+  }
+  entries_.clear();
 }
 
 std::vector<ScoredNode> ExactAggregator::top(std::size_t k) const {
-  return ppr::top_k(scores_, k);
+  return ppr::top_k({entries_.begin(), entries_.end()}, k);
 }
 
 std::size_t ExactAggregator::bytes() const {
-  // unordered_map footprint: bucket array + one heap node per entry
-  // (key+value+next pointer, rounded to malloc granularity).
-  const std::size_t per_entry =
-      sizeof(graph::NodeId) + sizeof(double) + 2 * sizeof(void*);
-  return scores_.bucket_count() * sizeof(void*) +
-         scores_.size() * per_entry;
+  return index_.bytes() + entries_.capacity() * sizeof(ScoredNode);
 }
 
 TopCKAggregator::TopCKAggregator(std::size_t capacity, double admit_epsilon)
@@ -35,38 +92,11 @@ TopCKAggregator::TopCKAggregator(std::size_t capacity, double admit_epsilon)
     throw std::invalid_argument(
         "TopCKAggregator: admit_epsilon must be non-negative");
   }
-  // Load factor ≤ 1/2 at full capacity keeps linear-probe chains short.
-  const std::size_t buckets = std::bit_ceil(2 * capacity);
-  index_.assign(buckets, {graph::kInvalidNode, 0});
-  index_mask_ = buckets - 1;
-  index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
+  // Load ≤ 1/4 at full capacity: a full table mostly drops, and every drop
+  // is a miss that probes to an empty bucket.
+  index_.assign(std::bit_ceil(4 * capacity));
   slots_.reserve(capacity);
   heap_.reserve(2 * capacity);
-}
-
-std::size_t TopCKAggregator::find_bucket(graph::NodeId node) const {
-  std::size_t b = home_bucket(node);
-  while (index_[b].node != node && index_[b].node != graph::kInvalidNode) {
-    b = (b + 1) & index_mask_;
-  }
-  return b;
-}
-
-void TopCKAggregator::erase_bucket(std::size_t b) {
-  for (std::size_t next = (b + 1) & index_mask_;
-       index_[next].node != graph::kInvalidNode;
-       next = (next + 1) & index_mask_) {
-    // An entry may fill the hole only if its home bucket does not lie
-    // cyclically in (b, next] — otherwise moving it would put it before
-    // its own home and lookups would miss it.
-    const std::size_t home = home_bucket(index_[next].node);
-    const bool stays = b <= next ? (b < home && home <= next)
-                                 : (b < home || home <= next);
-    if (stays) continue;
-    index_[b] = index_[next];
-    b = next;
-  }
-  index_[b].node = graph::kInvalidNode;
 }
 
 void TopCKAggregator::rebuild_heap() {
@@ -103,10 +133,20 @@ std::uint32_t TopCKAggregator::settle_min() {
     const HeapEntry e = heap_.front();
     if (slots_[e.slot].score == e.key) return e.slot;
     // Stale (score moved since the snapshot) or re-tenanted slot: refresh.
-    std::pop_heap(heap_.begin(), heap_.end(), heap_after);
-    heap_.back() = {slots_[e.slot].score, e.slot};
-    std::push_heap(heap_.begin(), heap_.end(), heap_after);
+    replace_front({slots_[e.slot].score, e.slot});
   }
+}
+
+void TopCKAggregator::replace_front(HeapEntry e) {
+  const std::size_t n = heap_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && heap_after(heap_[child], heap_[child + 1])) ++child;
+    if (!heap_after(e, heap_[child])) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = e;
 }
 
 void TopCKAggregator::refresh_min() {
@@ -118,13 +158,13 @@ void TopCKAggregator::refresh_min() {
 
 void TopCKAggregator::add(graph::NodeId node, double delta) {
   MELO_DCHECK(node != graph::kInvalidNode);
-  const std::size_t bucket = find_bucket(node);
-  if (index_[bucket].node == node) {
+  const std::size_t bucket = index_.find(node, slots_);
+  if (index_[bucket] != NodeIndex::kEmpty) {
     // In-place BRAM update: always allowed, no eviction. Only decreases
     // need a fresh snapshot (see settle_min); the common positive update
     // is one addition, no heap traffic.
-    const std::uint32_t slot = index_[bucket].slot;
-    Slot& entry = slots_[slot];
+    const std::uint32_t slot = index_[bucket];
+    ScoredNode& entry = slots_[slot];
     entry.score += delta;
     if (delta < 0.0) {
       push_snapshot(entry.score, slot);
@@ -145,7 +185,7 @@ void TopCKAggregator::add(graph::NodeId node, double delta) {
     const auto slot = static_cast<std::uint32_t>(slots_.size());
     slots_.push_back({node, delta});
     push_snapshot(delta, slot);
-    index_[bucket] = {node, slot};  // the empty bucket the probe ended on
+    index_[bucket] = slot;  // the empty bucket the probe ended on
     if (min_valid_ && delta < min_score_) {
       min_slot_ = slot;
       min_score_ = delta;
@@ -168,18 +208,16 @@ void TopCKAggregator::add(graph::NodeId node, double delta) {
   bound_ = std::max(bound_, min_score_);
   ++evictions_;
   // Erasing may shift entries back, so the insert re-probes.
-  erase_bucket(find_bucket(slots_[min_slot_].node));
+  index_.erase(index_.find(slots_[min_slot_].node, slots_), slots_);
   slots_[min_slot_] = {node, delta};
-  index_[find_bucket(node)] = {node, min_slot_};
+  index_[index_.find(node, slots_)] = min_slot_;
   if (!heap_.empty() && heap_.front().slot == min_slot_) {
     // The front is the evicted slot's own snapshot (settle_min just put it
     // there): re-key it in place to the slot's new live score instead of
     // pushing a second entry that the next settle_min would only refresh
     // into a duplicate. Every other slot keeps its entries, so the
     // lazy-heap invariant holds.
-    std::pop_heap(heap_.begin(), heap_.end(), heap_after);
-    heap_.back() = {delta, min_slot_};
-    std::push_heap(heap_.begin(), heap_.end(), heap_after);
+    replace_front({delta, min_slot_});
   } else {
     push_snapshot(delta, min_slot_);
   }
@@ -187,10 +225,7 @@ void TopCKAggregator::add(graph::NodeId node, double delta) {
 }
 
 std::vector<ScoredNode> TopCKAggregator::top(std::size_t k) const {
-  std::vector<ScoredNode> all;
-  all.reserve(slots_.size());
-  for (const Slot& slot : slots_) all.push_back({slot.node, slot.score});
-  return ppr::top_k(std::move(all), k);
+  return ppr::top_k({slots_.begin(), slots_.end()}, k);
 }
 
 std::size_t TopCKAggregator::bytes() const {
@@ -203,8 +238,7 @@ std::size_t TopCKAggregator::bytes() const {
 void TopCKAggregator::clear() {
   // Every buffer keeps its storage, so pooled arenas (AggregatorPool)
   // reuse warm memory; the index is refilled with empty markers.
-  std::fill(index_.begin(), index_.end(),
-            IndexEntry{graph::kInvalidNode, 0});
+  index_.assign(index_.buckets());
   slots_.clear();
   heap_.clear();
   evictions_ = 0;

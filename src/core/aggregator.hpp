@@ -3,9 +3,9 @@
 // Every per-ball diffusion contributes scores that must be summed into the
 // global PPR vector S_L (Eq. 8). Two strategies:
 //
-//   ExactAggregator  — a hash map holding every touched node. Exact, but its
-//                      footprint grows toward O(G_L(s)); this is what the
-//                      CPU implementation uses.
+//   ExactAggregator  — a flat table holding every touched node. Exact, but
+//                      its footprint grows toward O(G_L(s)); this is what
+//                      the CPU implementation uses.
 //   TopCKAggregator  — the paper's FPGA strategy: a fixed-capacity table of
 //                      the c·k best scores kept in BRAM. Insertions beyond
 //                      capacity evict the current minimum, so late small
@@ -26,15 +26,71 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
 #include "ppr/topk.hpp"
+#include "util/assert.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace meloppr::core {
 
 using ppr::ScoredNode;
+
+/// Open-addressing index from node id to a 32-bit position in an entry
+/// array the caller owns, shared by both aggregators: linear probing over
+/// a power-of-two bucket array with Fibonacci hashing. A bucket holds only
+/// the position; the node is read from the entry it points to. find() is
+/// the only probe loop; an insert writes the bucket a missed find()
+/// returned.
+class NodeIndex {
+ public:
+  static constexpr std::uint32_t kEmpty =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Empties the index and sizes it to `buckets`, a power of two.
+  void assign(std::size_t buckets);
+
+  /// Bucket holding `node`'s position in `entries`, or the empty bucket
+  /// where its probe ended. Every non-empty bucket must point into
+  /// `entries`: a bucket left behind by a clear or an erase would read an
+  /// entry the caller no longer holds.
+  [[nodiscard]] std::size_t find(graph::NodeId node,
+                                 std::span<const ScoredNode> entries) const {
+    std::size_t b = home(node);
+    for (; buckets_[b] != kEmpty; b = (b + 1) & mask_) {
+      MELO_DCHECK(buckets_[b] < entries.size());
+      if (entries[buckets_[b]].node == node) break;
+    }
+    return b;
+  }
+
+  [[nodiscard]] std::uint32_t& operator[](std::size_t b) {
+    return buckets_[b];
+  }
+
+  /// Empties bucket `b` and shifts its probe-chain successors back so no
+  /// later lookup stops early on the hole.
+  void erase(std::size_t b, std::span<const ScoredNode> entries);
+
+  [[nodiscard]] std::size_t buckets() const { return buckets_.size(); }
+  [[nodiscard]] std::size_t bytes() const {
+    return buckets_.capacity() * sizeof(std::uint32_t);
+  }
+
+ private:
+  [[nodiscard]] std::size_t home(graph::NodeId node) const {
+    // Fibonacci hashing: the top bits of the product spread consecutive
+    // ids (BFS-local neighborhoods) across the table.
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(node) * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  std::vector<std::uint32_t> buckets_;
+  std::size_t mask_ = 0;  ///< buckets_.size() − 1
+  unsigned shift_ = 0;    ///< 64 − log2(buckets_.size())
+};
 
 /// Interface for summing per-ball score contributions into a global view.
 class ScoreAggregator {
@@ -65,19 +121,37 @@ class ScoreAggregator {
   [[nodiscard]] virtual std::size_t evictions() const { return 0; }
 };
 
-/// Exact hash-map aggregation (CPU mode).
+/// Exact flat-table aggregation (CPU mode): every touched node's
+/// (node, score) entry in first-touch order, plus a NodeIndex from node to
+/// entry. The index doubles when its load would pass 1/2 and the entry
+/// vector is reserved in step (half the buckets), so a pooled arena keeps
+/// its grown table across queries and a warm query never rehashes. A
+/// node's additions apply in call order, and a first add stores
+/// 0.0 + delta, so every score is bit-identical to summing into a
+/// value-initialised map.
 class ExactAggregator final : public ScoreAggregator {
  public:
+  ExactAggregator();
+
   void add(graph::NodeId node, double delta) override;
   [[nodiscard]] std::vector<ScoredNode> top(std::size_t k) const override;
-  [[nodiscard]] std::size_t entries() const override { return scores_.size(); }
+  [[nodiscard]] std::size_t entries() const override {
+    return entries_.size();
+  }
+  /// Allocated capacity of the index and the entry vector.
   [[nodiscard]] std::size_t bytes() const override;
-  void clear() override { scores_.clear(); }
+  /// Resets only the buckets the entries used; storage is kept.
+  void clear() override;
 
-  [[nodiscard]] const ppr::ScoreMap& scores() const { return scores_; }
+  /// Every tracked node with its score, in first-touch order.
+  [[nodiscard]] std::span<const ScoredNode> scores() const { return entries_; }
 
  private:
-  ppr::ScoreMap scores_;
+  /// Doubles the index and re-inserts the entries in order.
+  void grow();
+
+  NodeIndex index_;
+  std::vector<ScoredNode> entries_;
 };
 
 /// Fixed-capacity top-(c·k) table (FPGA mode). Keeps the `capacity` largest
@@ -94,10 +168,10 @@ class ExactAggregator final : public ScoreAggregator {
 /// refreshing stale ones, until one matches its live score — provably the
 /// true minimum under the invariant above — which keeps min-eviction
 /// exact at amortized O(log cap) while bounded mode keeps pace with the
-/// exact hash map. The node → slot index is a fixed open-addressing table
-/// (linear probing, backward-shift deletion) sized once to a power of two
-/// ≥ 2·capacity, so inserts and evictions never allocate or rehash.
-/// kInvalidNode is reserved as its empty marker and is never a valid node.
+/// exact table. The node → slot index is a NodeIndex sized once to a power
+/// of two ≥ 4·capacity (load ≤ 1/4, so the probes of dropped
+/// contributions stay short), so inserts and evictions never allocate or
+/// rehash.
 class TopCKAggregator final : public ScoreAggregator {
  public:
   /// capacity = c·k. `admit_epsilon` is the eviction hysteresis margin
@@ -136,27 +210,6 @@ class TopCKAggregator final : public ScoreAggregator {
   [[nodiscard]] double admit_epsilon() const { return epsilon_; }
 
  private:
-  struct Slot {
-    graph::NodeId node;
-    double score;
-  };
-  /// One open-addressing bucket; node == kInvalidNode marks it empty.
-  struct IndexEntry {
-    graph::NodeId node;
-    std::uint32_t slot;
-  };
-  [[nodiscard]] std::size_t home_bucket(graph::NodeId node) const {
-    // Fibonacci hashing: the top bits of the product spread consecutive
-    // ids (BFS-local neighborhoods) across the table.
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(node) * 0x9e3779b97f4a7c15ULL) >>
-        index_shift_);
-  }
-  /// Bucket holding `node`, or the empty bucket where its probe ended.
-  [[nodiscard]] std::size_t find_bucket(graph::NodeId node) const;
-  /// Empties bucket `b` and shifts its probe-chain successors back so no
-  /// later lookup stops early on the hole.
-  void erase_bucket(std::size_t b);
   /// (score snapshot, slot) — refreshed lazily at eviction time.
   struct HeapEntry {
     double key;
@@ -168,6 +221,9 @@ class TopCKAggregator final : public ScoreAggregator {
   /// Settles the lazy heap until its front is an accurate snapshot and
   /// returns that slot — the true minimum (the entry stays in the heap).
   std::uint32_t settle_min();
+  /// Overwrites the heap front with `e` and restores the heap order with
+  /// one sift-down from the root.
+  void replace_front(HeapEntry e);
   /// Discards every stale snapshot by rebuilding from the live slots,
   /// O(cap) — the growth guard that keeps the heap (and with it the
   /// advertised c·k memory envelope) bounded under snapshot churn.
@@ -188,18 +244,17 @@ class TopCKAggregator final : public ScoreAggregator {
   bool min_valid_ = false;
   std::uint32_t min_slot_ = 0;
   double min_score_ = 0.0;
-  std::vector<IndexEntry> index_;  ///< node → slot, open addressing
-  std::size_t index_mask_ = 0;     ///< index_.size() − 1
-  unsigned index_shift_ = 0;       ///< 64 − log2(index_.size())
-  std::vector<Slot> slots_;        ///< live entries, dense
+  NodeIndex index_;                ///< node → slot
+  std::vector<ScoredNode> slots_;  ///< live entries, dense
   std::vector<HeapEntry> heap_;    ///< lazy min-heap over live scores
 };
 
 /// Builds the aggregator for a serial reduction schedule (Engine::query's
-/// DFS drain and the pipeline's per-query replay of it): an exact map, or
-/// the bounded c·k table whose results are bit-identical to the serial
-/// engine for the same operation order. `epsilon` is the bounded table's eviction
-/// hysteresis (MelopprConfig::topck_epsilon; ignored in exact mode).
+/// DFS drain and the pipeline's per-query replay of it): an exact table,
+/// or the bounded c·k table whose results are bit-identical to the serial
+/// engine for the same operation order. `epsilon` is the bounded table's
+/// eviction hysteresis (MelopprConfig::topck_epsilon; ignored in exact
+/// mode).
 [[nodiscard]] std::unique_ptr<ScoreAggregator> make_serial_aggregator(
     AggregationMode mode, std::size_t k, std::size_t c,
     double epsilon = 0.0);
@@ -207,12 +262,12 @@ class TopCKAggregator final : public ScoreAggregator {
 /// Per-worker arena of reusable serial aggregators (ROADMAP: "Aggregator
 /// reuse across a batch"). Constructing and tearing down an aggregator per
 /// query reallocates its table every time; clear() on a reused instance
-/// keeps the storage (hash-map buckets for exact arenas, the fixed BRAM
-/// slots for bounded ones), so a worker's second query aggregates into
-/// already-warm memory. acquire(slot) hands out an exclusive lease on one
-/// aggregator, cleared and ready; the preferred slot is the worker index,
-/// so within one batch there is no contention at all — the locking only
-/// matters when several batches share a pipeline.
+/// keeps the storage (the grown flat table for exact arenas, the fixed
+/// BRAM slots for bounded ones), so a worker's second query aggregates
+/// into already-warm memory and never rehashes. acquire(slot) hands out an
+/// exclusive lease on one aggregator, cleared and ready; the preferred slot
+/// is the worker index, so within one batch there is no contention at all
+/// — the locking only matters when several batches share a pipeline.
 class AggregatorPool {
  public:
   using Factory = std::function<std::unique_ptr<ScoreAggregator>()>;
@@ -254,7 +309,7 @@ class AggregatorPool {
 
   [[nodiscard]] std::size_t slots() const { return arenas_.size(); }
   /// Total leases handed out (each beyond the first per slot reused a warm
-  /// arena instead of allocating a fresh map).
+  /// arena instead of allocating a fresh table).
   [[nodiscard]] std::size_t acquires() const { return acquires_.load(); }
   /// acquires() minus first-use-per-slot: queries that skipped the
   /// construct/teardown malloc churn entirely.

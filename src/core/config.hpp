@@ -20,7 +20,7 @@ namespace meloppr::core {
 /// How per-ball score contributions are summed into the global score view
 /// (Sec. V-B "Data Transfer Reduction").
 enum class AggregationMode {
-  /// Full hash map of every touched node — exact, O(G_L(s)) footprint
+  /// Flat table of every touched node — exact, O(G_L(s)) footprint
   /// (the CPU implementation's strategy).
   kExact,
   /// Fixed c·k-entry table with min-eviction — the FPGA's BRAM strategy:
@@ -67,7 +67,7 @@ struct MelopprConfig {
   std::size_t k = 200;                       ///< top-k query size
   Selection selection = Selection::top_ratio(0.05);  ///< next-stage policy
 
-  /// Global score aggregation strategy (exact map vs bounded c·k table).
+  /// Global score aggregation strategy (exact table vs bounded c·k table).
   AggregationMode aggregation = AggregationMode::kExact;
   /// Bounded-table multiplier: the table holds c·k entries (paper default
   /// c=10, the <0.2% precision-loss point). Ignored in exact mode.

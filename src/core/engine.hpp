@@ -109,7 +109,7 @@ class Engine {
   [[nodiscard]] QueryResult query(graph::NodeId seed) const;
 
   /// Full-control query: caller supplies the diffusion backend (CPU or
-  /// simulated FPGA) and the aggregation strategy (exact map or top-c·k
+  /// simulated FPGA) and the aggregation strategy (exact table or top-c·k
   /// table). The aggregator is cleared first. Thread-safe for concurrent
   /// calls when the backend is thread-safe (or distinct per call) and each
   /// call uses its own aggregator.

@@ -61,10 +61,9 @@ std::size_t SeedStream::size() const {
 QueryPipeline::QueryPipeline(const Engine& engine, DiffusionBackend& backend,
                              PipelineConfig config)
     : engine_(&engine),
-      config_(config),
       threads_(config.resolved_threads()),
-      // Arenas follow the engine's aggregation mode: exact maps, or bounded
-      // c·k tables whose clear() keeps the fixed slots warm.
+      // Arenas follow the engine's aggregation mode: exact tables, or
+      // bounded c·k tables; clear() keeps either one's storage warm.
       agg_pool_(threads_,
                 [mode = engine.config().aggregation, k = engine.config().k,
                  c = engine.config().topck_c,

@@ -241,11 +241,10 @@ class QueryPipeline {
                     BatchStats* batch_stats = nullptr);
 
   [[nodiscard]] std::size_t threads() const { return threads_; }
-  [[nodiscard]] const PipelineConfig& config() const { return config_; }
   [[nodiscard]] const Engine& engine() const { return *engine_; }
 
-  /// The pooled per-worker aggregator arenas (exact maps or bounded c·k
-  /// tables, following the engine's aggregation mode).
+  /// The pooled per-worker aggregator arenas (exact or bounded c·k tables,
+  /// following the engine's aggregation mode).
   [[nodiscard]] const AggregatorPool& aggregator_pool() const {
     return agg_pool_;
   }
@@ -272,7 +271,6 @@ class QueryPipeline {
   }
 
   const Engine* engine_;
-  PipelineConfig config_;
   std::size_t threads_;
 
   /// Exactly one of these is used: the shared thread-safe backend, or one

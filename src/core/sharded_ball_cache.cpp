@@ -163,8 +163,7 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
     if (const auto it = shard.map.find(key); it != shard.map.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // → MRU
       hits_.fetch_add(1, std::memory_order_relaxed);
-      return {it->second->ball, /*hit=*/true, /*deduped=*/false, 0.0,
-              it->second->version};
+      return {it->second->ball, /*hit=*/true};
     }
     if (const auto it = shard.in_flight.find(key);
         it != shard.in_flight.end()) {
@@ -193,8 +192,7 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
       }
       hits_.fetch_add(1, std::memory_order_relaxed);
       dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-      return {std::move(extracted.ball), /*hit=*/true, /*deduped=*/true, 0.0,
-              extracted.version};
+      return {std::move(extracted.ball), /*hit=*/true};
     }
     shard.in_flight.emplace(key, promise.get_future().share());
   }
@@ -268,14 +266,13 @@ ShardedBallCache::Fetch ShardedBallCache::fetch(graph::NodeId root,
     if (retain && incoming <= shard_budget_ &&
         shard.map.find(key) == shard.map.end() &&
         admit(shard, key, incoming)) {
-      shard.lru.push_front(Entry{key, ball, incoming, ball_version});
+      shard.lru.push_front(Entry{key, ball, incoming});
       shard.map.emplace(key, shard.lru.begin());
       shard.bytes += incoming;
       total_bytes_.fetch_add(incoming, std::memory_order_relaxed);
     }
   }
-  return {std::move(ball), /*hit=*/false, /*deduped=*/false,
-          extract_seconds, ball_version};
+  return {std::move(ball), /*hit=*/false};
   }  // for (;;)
 }
 

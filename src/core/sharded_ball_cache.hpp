@@ -129,14 +129,8 @@ class ShardedBallCache {
 
   /// What one fetch() did, for per-task attribution.
   struct Fetch {
-    BallPtr ball;          ///< always set
-    bool hit = false;      ///< served without running a BFS on this thread
-    bool deduped = false;  ///< joined another thread's extraction
-    double extract_seconds = 0.0;  ///< BFS time paid by THIS call (0 on hit)
-    /// Graph version the ball was extracted at (dynamic mode; 0 static).
-    /// Resident balls are additionally current: they reflect every update
-    /// up to the graph version at the time they were served.
-    std::uint64_t version = 0;
+    BallPtr ball;      ///< always set
+    bool hit = false;  ///< served without running a BFS on this thread
   };
 
   /// `byte_budget` is split evenly across `shards` (0 → kDefaultShards).
@@ -305,8 +299,6 @@ class ShardedBallCache {
     BallKey key;
     BallPtr ball;
     std::size_t ball_bytes = 0;
-    /// Graph version the ball was extracted at (0 in static mode).
-    std::uint64_t version = 0;
   };
 
   /// In-flight extraction result: the ball plus the graph version it was

@@ -7,13 +7,6 @@
 
 namespace meloppr::ppr {
 
-std::vector<ScoredNode> to_scored_nodes(const ScoreMap& scores) {
-  std::vector<ScoredNode> out;
-  out.reserve(scores.size());
-  for (const auto& [node, score] : scores) out.push_back({node, score});
-  return out;
-}
-
 std::vector<ScoredNode> top_k(std::vector<ScoredNode> scores, std::size_t k) {
   const auto better = [](const ScoredNode& a, const ScoredNode& b) {
     if (a.score != b.score) return a.score > b.score;
@@ -30,10 +23,6 @@ std::vector<ScoredNode> top_k(std::vector<ScoredNode> scores, std::size_t k) {
   // alive until the client collects it.
   scores.shrink_to_fit();
   return scores;
-}
-
-std::vector<ScoredNode> top_k(const ScoreMap& scores, std::size_t k) {
-  return top_k(to_scored_nodes(scores), k);
 }
 
 double precision_at_k(const std::vector<ScoredNode>& truth,

@@ -16,9 +16,6 @@ namespace meloppr::ppr {
 /// ascending id). If fewer than k nodes are present, returns all of them.
 std::vector<ScoredNode> top_k(std::vector<ScoredNode> scores, std::size_t k);
 
-/// Convenience overload for a sparse map.
-std::vector<ScoredNode> top_k(const ScoreMap& scores, std::size_t k);
-
 /// Prec(s,k) = |approx ∩ truth| / k  (Sec. II "Measurement"). `truth` and
 /// `approx` are top-k lists; only node identities matter. The divisor is
 /// `k`, not |truth|, matching the paper.

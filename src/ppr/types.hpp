@@ -1,11 +1,6 @@
 // Shared score types for PPR computations.
 #pragma once
 
-#include <cstddef>
-#include <unordered_map>
-#include <utility>
-#include <vector>
-
 #include "graph/graph.hpp"
 
 namespace meloppr::ppr {
@@ -19,11 +14,5 @@ struct ScoredNode {
 
   friend bool operator==(const ScoredNode&, const ScoredNode&) = default;
 };
-
-/// Sparse global score map (only nodes with non-zero mass).
-using ScoreMap = std::unordered_map<NodeId, double>;
-
-/// Flattens a ScoreMap into a vector of ScoredNode (unordered).
-std::vector<ScoredNode> to_scored_nodes(const ScoreMap& scores);
 
 }  // namespace meloppr::ppr

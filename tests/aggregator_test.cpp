@@ -1,4 +1,5 @@
-// Score aggregation: the exact map, the bounded top-c·k table (unit
+// Score aggregation: the exact flat table (unit behavior, and growth and
+// reuse against a std::map reference), the bounded top-c·k table (unit
 // behavior, its flat node index under eviction churn, and the randomized
 // eviction-bound property), and pooled arenas.
 //
@@ -9,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -55,6 +60,137 @@ TEST(ExactAggregator, BytesGrowWithEntries) {
   const std::size_t before = agg.bytes();
   for (graph::NodeId v = 0; v < 1000; ++v) agg.add(v, 0.001);
   EXPECT_GT(agg.bytes(), before + 1000 * 12);
+}
+
+/// Bit pattern of a score: EXPECT_EQ on doubles would let −0.0 pass for
+/// +0.0, and bit-identity is the contract.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+using Stream = std::vector<std::pair<graph::NodeId, double>>;
+
+/// `count` ids spread across the 32-bit range, 0 and kInvalidNode − 1
+/// among them.
+std::vector<graph::NodeId> id_pool(Rng& rng, std::size_t count) {
+  std::vector<graph::NodeId> ids = {0, graph::kInvalidNode - 1};
+  while (ids.size() < count) {
+    ids.push_back(static_cast<graph::NodeId>(rng.below(graph::kInvalidNode)));
+  }
+  return ids;
+}
+
+/// `adds` contributions over `ids`: repeated nodes, negative deltas and the
+/// occasional −0.0.
+Stream score_stream(Rng& rng, std::size_t adds,
+                    std::span<const graph::NodeId> ids) {
+  Stream stream;
+  stream.reserve(adds);
+  for (std::size_t i = 0; i < adds; ++i) {
+    const graph::NodeId node = ids[rng.below(ids.size())];
+    const double delta = rng.chance(0.02)   ? -0.0
+                         : rng.chance(0.3) ? -rng.uniform()
+                                           : rng.uniform();
+    stream.emplace_back(node, delta);
+  }
+  return stream;
+}
+
+/// Feeds `stream` to the table and to a std::map summed in the same order.
+void add_both(const Stream& stream, ExactAggregator& agg,
+              std::map<graph::NodeId, double>& reference) {
+  for (const auto& [node, delta] : stream) {
+    agg.add(node, delta);
+    reference[node] += delta;
+  }
+}
+
+/// The table holds exactly the reference's nodes, each score bit-identical.
+void expect_same_scores(const ExactAggregator& agg,
+                        const std::map<graph::NodeId, double>& reference) {
+  ASSERT_EQ(agg.entries(), reference.size());
+  const auto got = meloppr::test::score_map(agg.scores());
+  ASSERT_EQ(got.size(), reference.size()) << "a node is listed twice";
+  for (const auto& [node, score] : reference) {
+    const auto it = got.find(node);
+    ASSERT_NE(it, got.end()) << "node " << node;
+    EXPECT_EQ(bits(it->second), bits(score)) << "node " << node;
+  }
+}
+
+TEST(ExactAggregator, GrowsThroughDoublingsBitIdentical) {
+  Rng rng(meloppr::test::test_seed() ^ 0xf1a7);
+  ExactAggregator agg;
+  const std::size_t fresh_bytes = agg.bytes();
+  std::map<graph::NodeId, double> reference;
+  const Stream stream = score_stream(rng, 30000, id_pool(rng, 5000));
+  add_both(stream, agg, reference);
+  // Ties at the top: four ids the stream never touched, one equal score
+  // each, so top(k) must order them by ascending id.
+  for (graph::NodeId node = 1, tied = 0; tied < 4; ++node) {
+    if (reference.count(node) != 0) continue;
+    agg.add(node, 100.0);
+    reference[node] += 100.0;
+    ++tied;
+  }
+  expect_same_scores(agg, reference);
+  // Three doublings or more: both arrays are at least 8× their fresh size.
+  EXPECT_GE(agg.bytes(), 8 * fresh_bytes);
+  EXPECT_GE(agg.bytes(), agg.entries() * sizeof(ScoredNode));
+
+  // scores() lists nodes in first-touch order.
+  std::vector<graph::NodeId> first_touch;
+  std::set<graph::NodeId> seen;
+  for (const auto& [node, delta] : stream) {
+    if (seen.insert(node).second) first_touch.push_back(node);
+  }
+  ASSERT_GE(agg.scores().size(), first_touch.size());
+  for (std::size_t i = 0; i < first_touch.size(); ++i) {
+    EXPECT_EQ(agg.scores()[i].node, first_touch[i]) << "entry " << i;
+  }
+
+  std::vector<ScoredNode> flat;
+  for (const auto& [node, score] : reference) flat.push_back({node, score});
+  for (std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                        std::size_t{4}, std::size_t{5}, std::size_t{200},
+                        reference.size(), reference.size() + 10}) {
+    const auto want = ppr::top_k(flat, k);
+    const auto got = agg.top(k);
+    ASSERT_EQ(got.size(), want.size()) << "k=" << k;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].node, want[i].node) << "k=" << k << " rank " << i;
+      EXPECT_EQ(bits(got[i].score), bits(want[i].score))
+          << "k=" << k << " rank " << i;
+    }
+  }
+}
+
+TEST(ExactAggregator, ClearedArenaTakesSmallerThenLargerStreams) {
+  // One arena, as AggregatorPool reuses it: a grown table, then a smaller
+  // stream and a larger one, each after clear() — no entry of an earlier
+  // stream may survive, and no score may start from a stale value. The
+  // streams share ids, so a bucket a clear() missed is found again.
+  Rng rng(meloppr::test::test_seed() ^ 0xc1ea);
+  const std::vector<graph::NodeId> ids = id_pool(rng, 8000);
+  ExactAggregator agg;
+  for (const std::size_t distinct : {2000u, 100u, 8000u}) {
+    agg.clear();
+    EXPECT_EQ(agg.entries(), 0u);
+    EXPECT_TRUE(agg.top(5).empty());
+    std::map<graph::NodeId, double> reference;
+    add_both(score_stream(rng, 6 * distinct,
+                          std::span(ids).first(distinct)),
+             agg, reference);
+    expect_same_scores(agg, reference);
+    EXPECT_GE(agg.bytes(), agg.entries() * sizeof(ScoredNode));
+  }
+}
+
+TEST(ExactAggregator, FirstAddOfNegativeZeroIsPositiveZero) {
+  // `+=` into a value-initialised score computes 0.0 + (−0.0) = +0.0; the
+  // table stores the same sum, not the raw delta.
+  ExactAggregator agg;
+  agg.add(3, -0.0);
+  ASSERT_EQ(agg.scores().size(), 1u);
+  EXPECT_EQ(bits(agg.scores()[0].score), bits(0.0));
 }
 
 TEST(TopCK, RejectsZeroCapacity) {

@@ -10,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "graph/paper_graphs.hpp"
 #include "ppr/local_ppr.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace meloppr::core {
@@ -86,9 +87,10 @@ TEST(Engine, TwoStageExactnessIdentity) {
     EXPECT_NEAR(score, truth, 1e-9) << "node " << node;
   }
   // And no baseline mass was missed.
+  const auto scores = test::score_map(agg.scores());
   for (const auto& [node, truth] : base) {
-    const auto it = agg.scores().find(node);
-    const double got = it == agg.scores().end() ? 0.0 : it->second;
+    const auto it = scores.find(node);
+    const double got = it == scores.end() ? 0.0 : it->second;
     EXPECT_NEAR(got, truth, 1e-9) << "node " << node;
   }
 }
@@ -105,9 +107,10 @@ TEST(Engine, AsymmetricSplitsAreAlsoExact) {
     CpuBackend backend(0.85);
     ExactAggregator agg;
     engine.query(seed, backend, agg);
+    const auto scores = test::score_map(agg.scores());
     for (const auto& [node, truth] : base) {
-      const auto it = agg.scores().find(node);
-      const double got = it == agg.scores().end() ? 0.0 : it->second;
+      const auto it = scores.find(node);
+      const double got = it == scores.end() ? 0.0 : it->second;
       EXPECT_NEAR(got, truth, 1e-9)
           << "split {" << lengths[0] << "," << lengths[1] << "} node "
           << node;
@@ -124,9 +127,10 @@ TEST(Engine, ThreeStageRecursionIsExact) {
   CpuBackend backend(0.85);
   ExactAggregator agg;
   engine.query(seed, backend, agg);
+  const auto scores = test::score_map(agg.scores());
   for (const auto& [node, truth] : base) {
-    const auto it = agg.scores().find(node);
-    const double got = it == agg.scores().end() ? 0.0 : it->second;
+    const auto it = scores.find(node);
+    const double got = it == scores.end() ? 0.0 : it->second;
     EXPECT_NEAR(got, truth, 1e-9) << "node " << node;
   }
 }

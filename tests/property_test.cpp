@@ -12,6 +12,7 @@
 #include "graph/paper_graphs.hpp"
 #include "hw/host.hpp"
 #include "ppr/local_ppr.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace meloppr {
@@ -90,9 +91,10 @@ TEST_P(StageDecompositionExactness, MelopprEqualsSingleStage) {
     ASSERT_NEAR(score, expected, 1e-9)
         << family_name(family) << " node " << node;
   }
+  const auto scores = test::score_map(agg.scores());
   for (const auto& [node, expected] : truth) {
-    const auto it = agg.scores().find(node);
-    const double got = it == agg.scores().end() ? 0.0 : it->second;
+    const auto it = scores.find(node);
+    const double got = it == scores.end() ? 0.0 : it->second;
     ASSERT_NEAR(got, expected, 1e-9)
         << family_name(family) << " node " << node;
   }

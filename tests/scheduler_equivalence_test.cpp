@@ -64,7 +64,7 @@ std::map<graph::NodeId, double> reference_scores(const Graph& g,
   CpuBackend backend(cfg.alpha);
   ExactAggregator agg;
   reference_recurse(g, cfg, backend, agg, seed, 1.0, 0);
-  return {agg.scores().begin(), agg.scores().end()};
+  return meloppr::test::score_map(agg.scores());
 }
 
 MelopprConfig two_stage_config(Selection selection, std::size_t k = 50) {

@@ -27,7 +27,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <map>
+#include <span>
 
+#include "ppr/types.hpp"
 #include "util/env.hpp"
 
 namespace meloppr::test {
@@ -47,6 +50,15 @@ inline std::size_t stress_iters(std::size_t dflt) {
   const std::int64_t cap = env_int("MELOPPR_STRESS_ITERS", 0);
   if (cap <= 0) return dflt;
   return std::min(dflt, static_cast<std::size_t>(cap));
+}
+
+/// An aggregator's score table (ExactAggregator::scores()) keyed by node,
+/// for tests that look nodes up.
+inline std::map<graph::NodeId, double> score_map(
+    std::span<const ppr::ScoredNode> scores) {
+  std::map<graph::NodeId, double> out;
+  for (const ppr::ScoredNode& sn : scores) out.emplace(sn.node, sn.score);
+  return out;
 }
 
 /// InitGoogleTest + `--seed` parsing + RUN_ALL_TESTS, printing the

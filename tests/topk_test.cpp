@@ -34,16 +34,6 @@ TEST(TopK, EmptyInput) {
   EXPECT_TRUE(top.empty());
 }
 
-TEST(TopK, MapOverloadAgreesWithVector) {
-  ScoreMap m{{1, 0.5}, {2, 0.7}, {3, 0.1}};
-  auto from_map = top_k(m, 2);
-  auto from_vec = top_k(to_scored_nodes(m), 2);
-  ASSERT_EQ(from_map.size(), from_vec.size());
-  for (std::size_t i = 0; i < from_map.size(); ++i) {
-    EXPECT_EQ(from_map[i].node, from_vec[i].node);
-  }
-}
-
 TEST(TopK, ResultDoesNotKeepTheInputsCapacity) {
   // A query's score table holds thousands of entries; its top-k must not
   // pin that allocation for as long as the result lives.
