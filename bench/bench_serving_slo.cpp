@@ -46,9 +46,6 @@ RatePoint run_rate(core::QueryPipeline& pipeline, const graph::Graph& g,
   // saturated burst is simply absorbed and the shedding path never runs.
   core::ServingConfig scfg;
   scfg.queue_capacity = 16;
-  scfg.max_in_flight = 8;
-  scfg.batch_budget_seconds = 0.02;
-  scfg.max_batch = 32;
   core::ServingFrontEnd fe(pipeline, scfg);
 
   RatePoint point;
@@ -115,7 +112,7 @@ int run(bool smoke) {
 
   TablePrinter table({"offered (xcap)", "offered q/s", "completed",
                       "rejected", "p50 (ms)", "p99 (ms)", "max (ms)",
-                      "mean queue (ms)", "max batch"});
+                      "mean queue (ms)"});
   std::vector<RatePoint> points;
   points.reserve(fractions.size());
   for (double f : fractions) {
@@ -128,8 +125,7 @@ int run(bool smoke) {
                    fmt_fixed(s.response_p50_seconds * 1e3, 2),
                    fmt_fixed(s.response_p99_seconds * 1e3, 2),
                    fmt_fixed(s.max_response_seconds * 1e3, 2),
-                   fmt_fixed(s.mean_queue_seconds * 1e3, 2),
-                   std::to_string(s.max_batch_size)});
+                   fmt_fixed(s.mean_queue_seconds * 1e3, 2)});
     points.push_back(std::move(p));
   }
   std::cout << table.ascii() << '\n'

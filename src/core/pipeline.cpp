@@ -15,13 +15,31 @@
 
 namespace meloppr::core {
 
-std::size_t SeedStream::push(graph::NodeId seed) {
+SeedStream::SeedStream(std::size_t tenants) : fifos_(tenants) {
+  if (tenants == 0) {
+    throw std::invalid_argument("SeedStream: tenants must be >= 1");
+  }
+}
+
+std::size_t SeedStream::push(graph::NodeId seed, std::size_t tenant,
+                             double deadline_seconds) {
+  if (!(deadline_seconds >= 0.0)) {
+    throw std::invalid_argument(
+        "SeedStream::push: deadline must be >= 0 (0 = none)");
+  }
   util::MutexLock lock(mu_);
   if (closed_) {
     throw std::logic_error("SeedStream::push: stream is closed");
   }
-  const std::size_t index = slots_.size();
-  slots_.push_back({seed, clock_.elapsed_seconds()});
+  if (tenant >= fifos_.size()) {
+    throw std::invalid_argument("SeedStream::push: tenant out of range");
+  }
+  const double now = clock_.elapsed_seconds();
+  const std::size_t index = pushed_++;
+  fifos_[tenant].push_back({index, seed, tenant, now,
+                            deadline_seconds > 0.0 ? now + deadline_seconds
+                                                   : 0.0});
+  ++unclaimed_;
   // The wake hook runs under mu_ by contract: the draining scheduler clears
   // it under the same lock, so no invocation can outlive its frame.
   if (on_event_) on_event_();
@@ -33,12 +51,27 @@ std::size_t SeedStream::push_all(std::span<const graph::NodeId> seeds) {
   if (closed_) {
     throw std::logic_error("SeedStream::push_all: stream is closed");
   }
-  const std::size_t first = slots_.size();
+  const std::size_t first = pushed_;
   const double now = clock_.elapsed_seconds();
-  slots_.reserve(slots_.size() + seeds.size());
-  for (graph::NodeId seed : seeds) slots_.push_back({seed, now});
+  for (graph::NodeId seed : seeds) {
+    fifos_[0].push_back({pushed_++, seed, 0, now, 0.0});
+  }
+  unclaimed_ += seeds.size();
   if (on_event_ && !seeds.empty()) on_event_();
   return first;
+}
+
+bool SeedStream::claim(Slot& out) {
+  for (std::size_t step = 0; step < fifos_.size(); ++step) {
+    const std::size_t t = (next_tenant_ + step) % fifos_.size();
+    if (fifos_[t].empty()) continue;
+    out = fifos_[t].front();
+    fifos_[t].pop_front();
+    --unclaimed_;
+    next_tenant_ = (t + 1) % fifos_.size();
+    return true;
+  }
+  return false;
 }
 
 void SeedStream::close() {
@@ -55,7 +88,12 @@ bool SeedStream::closed() const {
 
 std::size_t SeedStream::size() const {
   util::MutexLock lock(mu_);
-  return slots_.size();
+  return pushed_;
+}
+
+std::size_t SeedStream::unclaimed() const {
+  util::MutexLock lock(mu_);
+  return unclaimed_;
 }
 
 QueryPipeline::QueryPipeline(const Engine& engine, DiffusionBackend& backend,
@@ -285,10 +323,11 @@ std::vector<QueryResult> QueryPipeline::query_batch(
   std::vector<QueryResult> results(seeds.size());
   query_stream(
       stream,
-      [&results](std::size_t index, QueryResult&& r) {
-        // Stream indices are distinct: concurrent finalizes write disjoint
-        // slots, no lock needed.
-        results[index] = std::move(r);
+      [&results](const SeedStream::Slot& slot, QueryResult* r) {
+        // No deadlines, so no sheds: every slot carries a result. Stream
+        // indices are distinct: concurrent finalizes write disjoint slots,
+        // no lock needed.
+        results[slot.index] = std::move(*r);
       },
       batch_stats);
   return results;
@@ -303,12 +342,13 @@ void QueryPipeline::query_stream(SeedStream& stream,
   util::Mutex tally_mu;
   QueryTally tally;
   if (batch_stats != nullptr) {
-    const ResultSink sink = [&](std::size_t index, QueryResult&& r) {
-      {
+    const ResultSink sink = [&](const SeedStream::Slot& slot,
+                                QueryResult* r) {
+      if (r != nullptr) {  // a shed is not a query
         util::MutexLock lock(tally_mu);
-        tally.add(r.stats);
+        tally.add(r->stats);
       }
-      on_result(index, std::move(r));
+      on_result(slot, r);
     };
     run_stream_batch(stream, sink);
   } else {
@@ -335,7 +375,7 @@ struct TreeNode {
 };
 
 struct BatchQuery {
-  std::size_t index = 0;
+  SeedStream::Slot slot;
   std::unique_ptr<TreeNode> root;
   /// Tasks of this query not yet executed (root counts as 1 up front).
   /// Whoever decrements it to zero reduces the query.
@@ -344,10 +384,9 @@ struct BatchQuery {
   /// thread count; words allocated by the scheduler).
   std::unique_ptr<std::atomic<std::uint64_t>[]> worker_words;
   std::atomic<std::size_t> stolen{0};
-  /// Stamps on the stream's clock: push time and first-claim time. The
-  /// difference is QueryStats::queue_seconds; arrival→finalize is the
-  /// response time the scheduler reports as total_seconds.
-  double arrival_seconds = 0.0;
+  /// Claim time on the stream's clock. Claim minus the slot's arrival is
+  /// QueryStats::queue_seconds; arrival→finalize is the response time the
+  /// scheduler reports as total_seconds.
   double claim_seconds = 0.0;
 };
 
@@ -479,8 +518,8 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
     // included, the quantity an SLO bounds) and queue_seconds the
     // arrival→claim wait, instead of the claim-clocked service time the
     // scheduler used to report.
-    r.stats.total_seconds = stream.now() - q.arrival_seconds;
-    r.stats.queue_seconds = q.claim_seconds - q.arrival_seconds;
+    r.stats.total_seconds = stream.now() - q.slot.arrival_seconds;
+    r.stats.queue_seconds = q.claim_seconds - q.slot.arrival_seconds;
     r.stats.diffusion_serial_seconds =
         r.stats.compute_seconds() + r.stats.transfer_seconds();
     std::size_t distinct_workers = 0;
@@ -508,17 +547,17 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
 
     // Retire the query BEFORE delivering the result: the tree is freed
     // here, mid-stream, so a long-lived stream holds only in-flight state.
-    const std::size_t index = q.index;
+    const SeedStream::Slot slot = q.slot;
     std::unique_ptr<BatchQuery> owned;
     {
       util::MutexLock lock(inflight_mu);
-      auto it = inflight.find(index);
+      auto it = inflight.find(slot.index);
       MELO_CHECK(it != inflight.end());
       owned = std::move(it->second);
       inflight.erase(it);
     }
     owned.reset();  // `q` is dangling past this point
-    on_result(index, std::move(r));
+    on_result(slot, &r);
   };
 
   const auto execute_task = [&](const StealTask& t, std::size_t self,
@@ -596,28 +635,35 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
             have = true;
           }
         }
-        if (!have) {  // 2. claim a fresh query root from the stream
-          graph::NodeId seed = graph::kInvalidNode;
-          double arrival = 0.0;
-          std::size_t index = 0;
+        if (!have) {  // 2. claim the next seed from the stream
+          SeedStream::Slot slot;
+          bool claimed = false;
+          bool expired = false;
+          double now = 0.0;
           {
             util::MutexLock lock(stream.mu_);
-            if (stream.next_claim_ < stream.slots_.size()) {
-              index = stream.next_claim_++;
-              seed = stream.slots_[index].seed;
-              arrival = stream.slots_[index].arrival_seconds;
+            claimed = stream.claim(slot);
+            if (claimed) {
+              now = stream.now();
+              expired = slot.deadline_seconds > 0.0 &&
+                        now > slot.deadline_seconds;
               // Raise `live` INSIDE the claim section: an exiting worker
-              // re-reads the cursor under this lock, so it can never see
-              // "fully claimed" without also seeing this query in flight.
-              live.fetch_add(1, std::memory_order_acq_rel);
-              have = true;
+              // re-reads the unclaimed count under this lock, so it can
+              // never see "nothing unclaimed" without also seeing this
+              // query in flight. A shed starts no task.
+              if (!expired) live.fetch_add(1, std::memory_order_acq_rel);
             }
           }
-          if (have) {
+          if (expired) {
+            // Already late: running it cannot meet its deadline. It goes
+            // back unexecuted, outside the stream lock.
+            on_result(slot, nullptr);
+            continue;
+          }
+          if (claimed) {
             auto fresh = std::make_unique<BatchQuery>();
-            fresh->index = index;
-            fresh->arrival_seconds = arrival;
-            fresh->claim_seconds = stream.now();
+            fresh->slot = slot;
+            fresh->claim_seconds = now;
             fresh->worker_words =
                 std::make_unique<std::atomic<std::uint64_t>[]>(mask_words);
             for (std::size_t word = 0; word < mask_words; ++word) {
@@ -626,11 +672,12 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
             fresh->root = std::make_unique<TreeNode>();
             // Claim time IS admission for a stream query: the version
             // stamp (dynamic graphs) freezes here, before any extraction.
-            fresh->root->task = engine_->make_root_task(seed);
+            fresh->root->task = engine_->make_root_task(slot.seed);
             task = {fresh.get(), fresh->root.get()};
+            have = true;
             {
               util::MutexLock lock(inflight_mu);
-              inflight.emplace(index, std::move(fresh));
+              inflight.emplace(slot.index, std::move(fresh));
             }
           }
         }
@@ -650,13 +697,13 @@ void QueryPipeline::run_stream_batch(SeedStream& stream,
         }
         if (!have) {
           // Exit only when the stream can produce no more work (closed
-          // AND fully claimed) and nothing is in flight; the claim-section
-          // live increment makes this two-step check race-free.
+          // AND nothing unclaimed) and nothing is in flight; the
+          // claim-section live increment makes this two-step check
+          // race-free.
           bool exhausted;
           {
             util::MutexLock lock(stream.mu_);
-            exhausted = stream.closed_ &&
-                        stream.next_claim_ == stream.slots_.size();
+            exhausted = stream.closed_ && stream.unclaimed_ == 0;
           }
           if (exhausted && live.load(std::memory_order_acquire) == 0) break;
           // Park event-driven: a push, a task publication, close(), the

@@ -28,10 +28,11 @@
 //                          as each query finalizes, and per-query times are
 //                          arrival-stamped: total_seconds is
 //                          arrival→finalize response time, queue_seconds
-//                          the arrival→claim wait. The serving front end
-//                          (core/serving.hpp) builds its admission queue,
-//                          deadline-aware batch formation, and tenant fair
-//                          queueing on top of this call.
+//                          the arrival→claim wait. The stream is also the
+//                          serving front end's admission queue
+//                          (core/serving.hpp): its per-tenant FIFOs are
+//                          claimed round-robin, and a seed whose deadline
+//                          has passed at claim is shed unexecuted.
 //
 // Balls are extracted on the demand path: the worker that runs a task
 // fetches its ball through the engine's ShardedBallCache (or extracts it
@@ -70,17 +71,22 @@
 
 namespace meloppr::core {
 
-/// A growable, lock-protected seed stream — the continuous-ingest face of
-/// the stealing batch scheduler. Seeds may be pushed from any thread WHILE
-/// a QueryPipeline::query_stream call is draining the stream: workers claim
-/// fresh roots in push order the moment they arrive (the same fresh-root
-/// claiming index the closed batch used, now reading a stream that grows),
-/// and idle workers park event-driven until a push, a task publication, or
-/// close() wakes them. Each push stamps the seed's arrival time on the
-/// stream's own monotonic clock; that stamp is what makes
+/// The stealing scheduler's admission queue: a growable, lock-protected
+/// stream of seeds with one FIFO per tenant. Seeds may be pushed from any
+/// thread WHILE a QueryPipeline::query_stream call is draining the stream.
+/// A worker with nothing of its own to run claims the next seed
+/// round-robin across the tenants' FIFOs — one seed per tenant per turn,
+/// so a flooding tenant delays itself, not the others — and idle workers
+/// park event-driven until a push, a task publication, or close() wakes
+/// them. A claimed seed whose deadline has already passed is handed to the
+/// result sink unexecuted (a shed) instead of being run into a certain
+/// miss.
+///
+/// Each push stamps the seed's arrival time and absolute deadline on the
+/// stream's own monotonic clock; the arrival stamp is what makes
 /// QueryStats::total_seconds an arrival→finalize response time (and
-/// queue_seconds the arrival→claim wait) instead of the claim-clocked
-/// service time the scheduler used to report.
+/// queue_seconds the arrival→claim wait). A claim removes the seed from
+/// the stream, so a long-lived stream holds only its unclaimed seeds.
 ///
 /// A stream is single-use: fill/close it, hand it to exactly one
 /// query_stream call (pushes may continue while that call runs), and
@@ -88,16 +94,32 @@ namespace meloppr::core {
 /// scheduler finishes every pushed seed and returns.
 class SeedStream {
  public:
-  SeedStream() = default;
+  /// One pushed seed, as a claim hands it to the scheduler and the
+  /// scheduler hands it to the result sink.
+  struct Slot {
+    std::size_t index = 0;  ///< push order across all tenants, from 0
+    graph::NodeId seed = graph::kInvalidNode;
+    std::size_t tenant = 0;
+    double arrival_seconds = 0.0;   ///< push time on the stream clock
+    double deadline_seconds = 0.0;  ///< absolute, stream clock; 0 = none
+  };
+
+  /// One FIFO per tenant; throws std::invalid_argument for 0 tenants.
+  explicit SeedStream(std::size_t tenants = 1);
   SeedStream(const SeedStream&) = delete;
   SeedStream& operator=(const SeedStream&) = delete;
 
-  /// Appends one seed; thread-safe against concurrent pushes and a running
-  /// query_stream. Returns the seed's stream index (results are delivered
-  /// with it). Throws std::logic_error after close().
-  std::size_t push(graph::NodeId seed);
+  /// Appends one seed to `tenant`'s FIFO; thread-safe against concurrent
+  /// pushes and a running query_stream. `deadline_seconds` is relative to
+  /// the push, 0 = none. Returns the seed's stream index (its slot carries
+  /// it to the sink). Throws std::logic_error after close(), and
+  /// std::invalid_argument for a tenant out of range or a negative or NaN
+  /// deadline.
+  std::size_t push(graph::NodeId seed, std::size_t tenant = 0,
+                   double deadline_seconds = 0.0);
 
-  /// Bulk push; returns the index of the first appended seed.
+  /// Bulk push to tenant 0, no deadlines; returns the index of the first
+  /// appended seed.
   std::size_t push_all(std::span<const graph::NodeId> seeds);
 
   /// Marks the end of the stream: no further pushes are accepted, and a
@@ -108,21 +130,25 @@ class SeedStream {
   [[nodiscard]] bool closed() const;
   /// Seeds pushed so far.
   [[nodiscard]] std::size_t size() const;
+  /// Pushed seeds no worker has claimed yet.
+  [[nodiscard]] std::size_t unclaimed() const;
   /// Seconds since construction — the arrival clock every stamp uses.
   [[nodiscard]] double now() const { return clock_.elapsed_seconds(); }
 
  private:
   friend class QueryPipeline;
 
-  struct Slot {
-    graph::NodeId seed = graph::kInvalidNode;
-    double arrival_seconds = 0.0;  ///< push time on the stream clock
-  };
+  /// Pops the next unclaimed seed, round-robin across tenants, into `out`;
+  /// false when every FIFO is empty.
+  bool claim(Slot& out) MELOPPR_REQUIRES(mu_);
 
   mutable util::Mutex mu_;
-  std::vector<Slot> slots_ MELOPPR_GUARDED_BY(mu_);
-  /// Scheduler claim cursor.
-  std::size_t next_claim_ MELOPPR_GUARDED_BY(mu_) = 0;
+  std::vector<std::deque<Slot>> fifos_ MELOPPR_GUARDED_BY(mu_);
+  std::size_t pushed_ MELOPPR_GUARDED_BY(mu_) = 0;
+  /// Σ FIFO sizes.
+  std::size_t unclaimed_ MELOPPR_GUARDED_BY(mu_) = 0;
+  /// Tenant the next claim starts from.
+  std::size_t next_tenant_ MELOPPR_GUARDED_BY(mu_) = 0;
   bool closed_ MELOPPR_GUARDED_BY(mu_) = false;
   /// Scheduler wake hook, registered by the draining query_stream call and
   /// cleared before it returns; invoked (under mu_) on push and close so
@@ -223,20 +249,23 @@ class QueryPipeline {
   std::vector<QueryResult> query_batch(std::span<const graph::NodeId> seeds,
                                        BatchStats* batch_stats = nullptr);
 
-  /// Delivers one finished query: the seed's stream index and its result.
-  /// Invoked on a worker thread; implementations must be thread-safe
+  /// Delivers one claimed seed: its slot (stream index, seed, tenant,
+  /// arrival, deadline) and its result, or nullptr when the seed's deadline
+  /// had passed at claim and it was shed unexecuted. Invoked on a worker
+  /// thread with no stream lock held; implementations must be thread-safe
   /// against each other and must not re-enter the pipeline.
-  using ResultSink =
-      std::function<void(std::size_t stream_index, QueryResult&& result)>;
+  using ResultSink = std::function<void(const SeedStream::Slot& slot,
+                                        QueryResult* result)>;
 
   /// Continuous-ingest batch: drains `stream`, claiming seeds as they
   /// arrive (pushes are allowed while this call runs) and blocking until
-  /// the stream is closed and every pushed seed finished. Scores for every
-  /// seed are bit-identical to Engine::query regardless
+  /// the stream is closed and every pushed seed finished or was shed.
+  /// Scores for every seed are bit-identical to Engine::query regardless
   /// of when it was injected; QueryStats::total_seconds is arrival→finalize
-  /// on the stream's clock and queue_seconds the arrival→claim wait. The
-  /// first task exception is rethrown after the workers stop; seeds not yet
-  /// finished at that point deliver no result.
+  /// on the stream's clock and queue_seconds the arrival→claim wait.
+  /// `batch_stats` counts executed queries only, never sheds. The first
+  /// task exception is rethrown after the workers stop; seeds not yet
+  /// finished at that point deliver nothing.
   void query_stream(SeedStream& stream, const ResultSink& on_result,
                     BatchStats* batch_stats = nullptr);
 

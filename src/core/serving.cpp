@@ -1,12 +1,19 @@
 #include "core/serving.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "util/assert.hpp"
-
 namespace meloppr::core {
+
+namespace {
+
+/// Per-query service estimate (seconds) before any completion has been
+/// observed; the kDeadlineImpossible check compares deadlines against it.
+constexpr double kInitialServiceEstimateSeconds = 0.005;
+/// EWMA weight of each observed service time folded into the estimate.
+constexpr double kServiceEstimateEwma = 0.2;
+
+}  // namespace
 
 ServingConfig& ServingConfig::validate() {
   if (tenants == 0) {
@@ -15,41 +22,18 @@ ServingConfig& ServingConfig::validate() {
   if (queue_capacity == 0) {
     throw std::invalid_argument("ServingConfig: queue_capacity must be >= 1");
   }
-  if (max_batch == 0) {
-    throw std::invalid_argument("ServingConfig: max_batch must be >= 1");
-  }
-  if (batch_budget_seconds < 0.0) {
-    throw std::invalid_argument(
-        "ServingConfig: batch_budget_seconds must be >= 0");
-  }
-  if (default_deadline_seconds < 0.0) {
-    throw std::invalid_argument(
-        "ServingConfig: default_deadline_seconds must be >= 0");
-  }
-  if (!(initial_service_estimate_seconds > 0.0)) {
-    throw std::invalid_argument(
-        "ServingConfig: initial_service_estimate_seconds must be > 0");
-  }
-  if (service_estimate_ewma < 0.0 || service_estimate_ewma >= 1.0) {
-    throw std::invalid_argument(
-        "ServingConfig: service_estimate_ewma must be in [0, 1)");
-  }
   return *this;
 }
 
 ServingFrontEnd::ServingFrontEnd(QueryPipeline& pipeline, ServingConfig config)
-    : pipeline_(&pipeline), config_(config) {
-  config_.validate();
-  tenant_queues_.resize(config_.tenants);
+    : pipeline_(&pipeline),
+      config_(config.validate()),
+      service_estimate_(kInitialServiceEstimateSeconds),
+      stream_(config_.tenants) {
   counters_.tenant_admitted.assign(config_.tenants, 0);
   counters_.tenant_completed.assign(config_.tenants, 0);
   counters_.tenant_shed.assign(config_.tenants, 0);
-  service_estimate_ = config_.initial_service_estimate_seconds;
-  // Driver first: the stream must have its consumer before the dispatcher
-  // can feed it (ordering is not load-bearing — pushes before the drain
-  // registers are claimed on registration — but it keeps startup obvious).
   driver_ = std::thread([this] { pipeline_loop(); });
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 ServingFrontEnd::~ServingFrontEnd() {
@@ -61,15 +45,20 @@ ServingFrontEnd::~ServingFrontEnd() {
   }
 }
 
-std::size_t ServingFrontEnd::resolved_max_in_flight() const {
-  if (config_.max_in_flight != 0) return config_.max_in_flight;
-  return std::max<std::size_t>(4 * pipeline_->threads(), 16);
-}
-
 Admission ServingFrontEnd::submit(graph::NodeId seed, std::size_t tenant,
                                   double deadline_seconds) {
   if (tenant >= config_.tenants) {
     throw std::invalid_argument("ServingFrontEnd::submit: tenant out of range");
+  }
+  // The node count is fixed for static and dynamic graphs alike (updates
+  // change edges only), so this check needs no lock. An admitted bad seed
+  // would throw on its worker and end the pipeline for every tenant.
+  if (seed >= pipeline_->engine().graph().num_nodes()) {
+    throw std::invalid_argument("ServingFrontEnd::submit: seed out of range");
+  }
+  if (!(deadline_seconds >= 0.0)) {
+    throw std::invalid_argument(
+        "ServingFrontEnd::submit: deadline must be >= 0 (0 = none)");
   }
   util::MutexLock lock(mu_);
   ++counters_.submitted;
@@ -77,120 +66,31 @@ Admission ServingFrontEnd::submit(graph::NodeId seed, std::size_t tenant,
     ++counters_.rejected_shutdown;
     return {false, RejectReason::kShuttingDown, 0};
   }
-  const double rel = deadline_seconds < 0.0 ? config_.default_deadline_seconds
-                                            : deadline_seconds;
-  if (rel > 0.0 && rel < service_estimate_) {
+  if (deadline_seconds > 0.0 && deadline_seconds < service_estimate_) {
     // Shorter than one bare service time: a guaranteed miss. Rejecting it
     // now is cheaper for everyone than executing it into lateness.
     ++counters_.rejected_deadline;
     return {false, RejectReason::kDeadlineImpossible, 0};
   }
-  if (queued_ >= config_.queue_capacity) {
+  // Exact: only submit() pushes, and it holds mu_ from here to the push.
+  if (stream_.unclaimed() >= config_.queue_capacity) {
     ++counters_.rejected_queue_full;
     return {false, RejectReason::kQueueFull, 0};
   }
-  Pending p;
-  p.ticket = next_ticket_++;
-  p.tenant = tenant;
-  p.seed = seed;
-  p.arrival_seconds = clock_.elapsed_seconds();
-  p.deadline_seconds = rel > 0.0 ? p.arrival_seconds + rel : 0.0;
-  const std::uint64_t ticket = p.ticket;
-  tenant_queues_[tenant].push_back(std::move(p));
-  ++queued_;
+  const std::size_t index = stream_.push(seed, tenant, deadline_seconds);
   ++counters_.admitted;
   ++counters_.tenant_admitted[tenant];
-  cv_.notify_all();  // the dispatcher may be parked on an empty queue
-  return {true, RejectReason::kNone, ticket};
-}
-
-void ServingFrontEnd::dispatcher_loop() {
-  const std::size_t max_in_flight = resolved_max_in_flight();
-  util::MutexLock lock(mu_);
-  for (;;) {
-    // Explicit wait loop (not a predicate lambda): the thread-safety
-    // analysis checks this function's guarded accesses, but cannot see
-    // into a lambda body.
-    while (!(pipeline_dead_ ||
-             (queued_ > 0 && dispatched_.size() < max_in_flight) ||
-             (shutting_down_ && queued_ == 0))) {
-      cv_.wait(lock.native());
-    }
-    if (pipeline_dead_) break;
-    if (shutting_down_ && queued_ == 0) break;
-
-    // Form one batch: round-robin one query per tenant per pass (a
-    // flooding tenant delays itself, not the others), cut by the latency
-    // budget — Σ service estimates, never count — then by max_batch.
-    std::vector<Pending> batch;
-    while (queued_ > 0 && batch.size() < config_.max_batch) {
-      if (!batch.empty() && config_.batch_budget_seconds > 0.0 &&
-          static_cast<double>(batch.size() + 1) * service_estimate_ >
-              config_.batch_budget_seconds) {
-        break;  // adding one more would overrun the budget
-      }
-      std::size_t t = rr_cursor_;
-      for (std::size_t step = 0; step < tenant_queues_.size(); ++step) {
-        const std::size_t cand = (rr_cursor_ + step) % tenant_queues_.size();
-        if (!tenant_queues_[cand].empty()) {
-          t = cand;
-          break;
-        }
-      }
-      Pending p = std::move(tenant_queues_[t].front());
-      tenant_queues_[t].pop_front();
-      --queued_;
-      rr_cursor_ = (t + 1) % tenant_queues_.size();
-      const double now_s = clock_.elapsed_seconds();
-      if (config_.shed_expired && p.deadline_seconds > 0.0 &&
-          now_s > p.deadline_seconds) {
-        // Already late before dispatch: executing it cannot help anyone.
-        // Typed, counted shed — no result, but a full ServedQuery record.
-        ServedQuery shed;
-        shed.ticket = p.ticket;
-        shed.tenant = p.tenant;
-        shed.seed = p.seed;
-        shed.status = ServeStatus::kShedDeadline;
-        shed.arrival_seconds = p.arrival_seconds;
-        shed.response_seconds = now_s - p.arrival_seconds;
-        shed.queue_seconds = shed.response_seconds;
-        shed.deadline_seconds = p.deadline_seconds;
-        shed.deadline_met = false;
-        ++counters_.shed_deadline;
-        ++counters_.tenant_shed[shed.tenant];
-        finished_.push_back(std::move(shed));
-        continue;  // consumes neither a batch slot nor budget
-      }
-      batch.push_back(std::move(p));
-    }
-
-    if (!batch.empty()) {
-      ++counters_.batches_formed;
-      counters_.max_batch_size =
-          std::max(counters_.max_batch_size, batch.size());
-      const double dispatch_s = clock_.elapsed_seconds();
-      // Push + register under mu_: the completion sink also locks mu_, so
-      // a worker finishing the seed can never look it up before it exists.
-      for (Pending& p : batch) {
-        p.dispatch_seconds = dispatch_s;
-        const std::size_t index = stream_.push(p.seed);
-        dispatched_.emplace(index, std::move(p));
-      }
-    }
-    cv_.notify_all();  // drain waiters may have sheds to collect
-  }
-  // End of intake: close the stream so query_stream drains and returns.
-  stream_.close();
-  lock.unlock();
-  cv_.notify_all();
+  // Stream indices are dense from 0 and only submit() pushes, so tickets
+  // are dense from 1 (0 is never issued).
+  return {true, RejectReason::kNone, index + 1};
 }
 
 void ServingFrontEnd::pipeline_loop() {
   try {
     pipeline_->query_stream(
         stream_,
-        [this](std::size_t index, QueryResult&& result) {
-          on_completion(index, std::move(result));
+        [this](const SeedStream::Slot& slot, QueryResult* result) {
+          on_finished(slot, result);
         },
         &pipeline_stats_);
   } catch (...) {
@@ -198,56 +98,57 @@ void ServingFrontEnd::pipeline_loop() {
     pipeline_dead_ = true;
     pipeline_error_ = std::current_exception();
   }
-  cv_.notify_all();  // release drain waiters and the dispatcher — no hangs
+  cv_.notify_all();  // release drain waiters — no hangs
 }
 
-void ServingFrontEnd::on_completion(std::size_t stream_index,
-                                    QueryResult&& result) {
+void ServingFrontEnd::on_finished(const SeedStream::Slot& slot,
+                                  QueryResult* result) {
   util::MutexLock lock(mu_);
-  const auto it = dispatched_.find(stream_index);
-  MELO_CHECK_MSG(it != dispatched_.end(),
-                 "ServingFrontEnd: completion for unknown stream index "
-                     << stream_index);
-  const Pending p = it->second;
-  dispatched_.erase(it);
-  const double done = clock_.elapsed_seconds();
+  const double done = stream_.now();
 
   ServedQuery sq;
-  sq.ticket = p.ticket;
-  sq.tenant = p.tenant;
-  sq.seed = p.seed;
-  sq.status = ServeStatus::kOk;
-  sq.arrival_seconds = p.arrival_seconds;
-  // submit()→completion on the front end's clock: admission wait +
-  // scheduler wait + service — the arrival-stamped response an SLO bounds.
-  sq.response_seconds = done - p.arrival_seconds;
-  sq.queue_seconds =
-      (p.dispatch_seconds - p.arrival_seconds) + result.stats.queue_seconds;
-  sq.deadline_seconds = p.deadline_seconds;
-  sq.deadline_met = p.deadline_seconds == 0.0 || done <= p.deadline_seconds;
-  if (!sq.deadline_met) ++counters_.deadline_misses;
-
-  if (config_.service_estimate_ewma > 0.0) {
-    const double service = result.stats.service_seconds();
+  sq.ticket = slot.index + 1;
+  sq.tenant = slot.tenant;
+  sq.seed = slot.seed;
+  sq.arrival_seconds = slot.arrival_seconds;
+  // submit()→completion on the stream's clock: scheduler wait + service —
+  // the arrival-stamped response an SLO bounds.
+  sq.response_seconds = done - slot.arrival_seconds;
+  sq.deadline_seconds = slot.deadline_seconds;
+  if (result == nullptr) {
+    // Shed at claim: late before it ran. Typed and counted — no result,
+    // but a full ServedQuery record.
+    sq.status = ServeStatus::kShedDeadline;
+    sq.queue_seconds = sq.response_seconds;
+    sq.deadline_met = false;
+    ++counters_.shed_deadline;
+    ++counters_.tenant_shed[slot.tenant];
+  } else {
+    sq.status = ServeStatus::kOk;
+    sq.queue_seconds = result->stats.queue_seconds;
+    sq.deadline_met =
+        slot.deadline_seconds == 0.0 || done <= slot.deadline_seconds;
+    if (!sq.deadline_met) ++counters_.deadline_misses;
+    const double service = result->stats.service_seconds();
     if (service > 0.0) {
-      service_estimate_ =
-          (1.0 - config_.service_estimate_ewma) * service_estimate_ +
-          config_.service_estimate_ewma * service;
+      service_estimate_ = (1.0 - kServiceEstimateEwma) * service_estimate_ +
+                          kServiceEstimateEwma * service;
     }
+    sq.result = std::move(*result);
+    ++counters_.completed;
+    ++counters_.tenant_completed[slot.tenant];
+    response_samples_.add(sq.response_seconds);
+    queue_sum_ += sq.queue_seconds;
   }
-
-  sq.result = std::move(result);
-  ++counters_.completed;
-  ++counters_.tenant_completed[p.tenant];
-  response_samples_.add(sq.response_seconds);
-  queue_sum_ += sq.queue_seconds;
   finished_.push_back(std::move(sq));
-  cv_.notify_all();  // backpressured dispatcher + drain waiters
+  cv_.notify_all();  // drain waiters
 }
 
 std::vector<ServedQuery> ServingFrontEnd::drain() {
   util::MutexLock lock(mu_);
-  while (!(pipeline_dead_ || (queued_ == 0 && dispatched_.empty()))) {
+  while (!(pipeline_dead_ ||
+           counters_.completed + counters_.shed_deadline ==
+               counters_.admitted)) {
     cv_.wait(lock.native());
   }
   if (pipeline_dead_ && pipeline_error_ != nullptr &&
@@ -264,9 +165,9 @@ void ServingFrontEnd::shutdown() {
   {
     util::MutexLock lock(mu_);
     shutting_down_ = true;
+    // End of intake: query_stream finishes every pushed seed and returns.
+    stream_.close();
   }
-  cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
   if (driver_.joinable()) driver_.join();
   util::MutexLock lock(mu_);
   if (pipeline_error_ != nullptr && !pipeline_error_thrown_) {
@@ -291,8 +192,10 @@ std::uint64_t ServingFrontEnd::submit_update(const graph::EdgeUpdate& update) {
 ServingStats ServingFrontEnd::stats() const {
   util::MutexLock lock(mu_);
   ServingStats s = counters_;
-  s.queued = queued_;
-  s.in_flight = dispatched_.size();
+  // No push can land while mu_ is held, and claims only move seeds from
+  // queued to in flight, so the identities hold in every snapshot.
+  s.queued = stream_.unclaimed();
+  s.in_flight = s.admitted - s.completed - s.shed_deadline - s.queued;
   s.updates_applied = updates_applied_.load(std::memory_order_relaxed);
   s.graph_version = dynamic_ == nullptr ? 0 : dynamic_->version();
   s.service_estimate_seconds = service_estimate_;

@@ -542,15 +542,17 @@ TEST(DynamicGraph, ConcurrentUpdatesVersusServing) {
     seed_stream.close();
   });
 
-  pipeline.query_stream(seed_stream, [&](std::size_t, QueryResult&& r) {
-    results_seen.fetch_add(1, std::memory_order_relaxed);
-    // Admission stamps must be real versions: in [0, final] — read after
-    // join below re-checks the upper bound against the true final count.
-    if (r.stats.graph_version > stream.size()) {
-      version_ok.store(false, std::memory_order_relaxed);
-    }
-    if (r.top.empty()) version_ok.store(false, std::memory_order_relaxed);
-  });
+  pipeline.query_stream(
+      seed_stream, [&](const core::SeedStream::Slot&, QueryResult* r) {
+        results_seen.fetch_add(1, std::memory_order_relaxed);
+        // Admission stamps must be real versions: in [0, final] — read
+        // after join below re-checks the upper bound against the true
+        // final count.
+        if (r->stats.graph_version > stream.size()) {
+          version_ok.store(false, std::memory_order_relaxed);
+        }
+        if (r->top.empty()) version_ok.store(false, std::memory_order_relaxed);
+      });
   producer.join();
   feeder.join();
 

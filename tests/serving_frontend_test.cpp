@@ -1,16 +1,22 @@
 // The continuous-ingest scheduler (QueryPipeline::query_stream) and the
 // SLO-aware serving front end built on it: mid-batch injection stays
 // bit-identical to Engine::query, latency attribution is arrival-stamped,
-// overload degrades into typed counted sheds, batches are cut by latency
-// budget, and tenants cannot starve each other. Custom main: the stream
-// hammer scales under MELOPPR_STRESS_ITERS for the sanitizer jobs.
+// overload degrades into typed counted sheds, workers claim round-robin
+// across tenants and shed expired seeds unexecuted, and tenants cannot
+// starve each other. Custom main: the stream hammer scales under
+// MELOPPR_STRESS_ITERS for the sanitizer jobs.
 #include "core/serving.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -81,9 +87,10 @@ TEST(QueryStream, MidBatchInjectionBitIdenticalAtEveryThreadCount) {
     });
 
     std::vector<QueryResult> got(seeds.size());
-    pipeline.query_stream(stream, [&](std::size_t index, QueryResult&& r) {
-      got[index] = std::move(r);
-    });
+    pipeline.query_stream(
+        stream, [&](const SeedStream::Slot& slot, QueryResult* r) {
+          got[slot.index] = std::move(*r);
+        });
     pusher.join();
 
     for (std::size_t i = 0; i < seeds.size(); ++i) {
@@ -114,9 +121,10 @@ TEST(QueryStream, ResponseTimesMonotoneOnOneWorker) {
   stream.push_all(seeds);
   stream.close();
   std::vector<QueryResult> got(seeds.size());
-  pipeline.query_stream(stream, [&](std::size_t index, QueryResult&& r) {
-    got[index] = std::move(r);
-  });
+  pipeline.query_stream(stream,
+                        [&](const SeedStream::Slot& slot, QueryResult* r) {
+                          got[slot.index] = std::move(*r);
+                        });
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_LE(got[i].stats.queue_seconds, got[i].stats.total_seconds + 1e-12);
     EXPECT_GT(got[i].stats.service_seconds(), 0.0);
@@ -172,19 +180,92 @@ TEST(QueryStream, PushAfterCloseThrowsAndStreamIsSingleUse) {
   SeedStream stream;
   EXPECT_EQ(stream.push(1), 0u);
   EXPECT_EQ(stream.push(2), 1u);
+  EXPECT_THROW(stream.push(3, /*tenant=*/1), std::invalid_argument);
   stream.close();
   EXPECT_TRUE(stream.closed());
   EXPECT_THROW(stream.push(3), std::logic_error);
   EXPECT_EQ(stream.size(), 2u);
+  EXPECT_EQ(stream.unclaimed(), 2u);
 }
 
 // ---------------------------------------------------------------------------
 // ServingFrontEnd: admission, shedding, deadlines, fairness.
 
-ServingConfig frozen_config() {
-  ServingConfig cfg;
-  cfg.service_estimate_ewma = 0.0;  // deterministic batch formation
-  return cfg;
+/// Forwards to a CPU backend but holds the first run() until release(), so
+/// a one-worker pipeline sits inside a known query while a test queues
+/// more behind it. Shared by every worker (thread_safe), never cloned.
+class GateBackend final : public DiffusionBackend {
+ public:
+  BackendResult run(const graph::Subgraph& ball, double mass,
+                    unsigned length) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (runs_++ == 0) {
+        held_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+    }
+    return inner_.run(ball, mass, length);
+  }
+  [[nodiscard]] std::size_t working_bytes(std::size_t n,
+                                          std::size_t e) const override {
+    return inner_.working_bytes(n, e);
+  }
+  [[nodiscard]] std::string name() const override { return "gate"; }
+  [[nodiscard]] std::unique_ptr<DiffusionBackend> clone() const override {
+    return inner_.clone();
+  }
+  [[nodiscard]] bool thread_safe() const override { return true; }
+
+  void wait_until_held() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return held_; });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+  [[nodiscard]] std::size_t runs() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return runs_;
+  }
+
+ private:
+  CpuBackend inner_{0.85};
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t runs_ = 0;
+  bool held_ = false;
+  bool released_ = false;
+};
+
+/// A backend whose every run() throws: a dead pipeline the front end must
+/// surface, not hang on.
+class ThrowingBackend final : public DiffusionBackend {
+ public:
+  BackendResult run(const graph::Subgraph&, double, unsigned) override {
+    throw std::runtime_error("ThrowingBackend: device lost");
+  }
+  [[nodiscard]] std::size_t working_bytes(std::size_t,
+                                          std::size_t) const override {
+    return 0;
+  }
+  [[nodiscard]] std::string name() const override { return "throwing"; }
+  [[nodiscard]] std::unique_ptr<DiffusionBackend> clone() const override {
+    return std::make_unique<ThrowingBackend>();
+  }
+  [[nodiscard]] bool thread_safe() const override { return true; }
+};
+
+void expect_conserved(const ServingStats& s) {
+  EXPECT_EQ(s.submitted, s.admitted + s.rejected_queue_full +
+                             s.rejected_deadline + s.rejected_shutdown);
+  EXPECT_EQ(s.admitted,
+            s.completed + s.shed_deadline + s.in_flight + s.queued);
 }
 
 TEST(ServingFrontEnd, ServesBitIdenticalAndConservesCounts) {
@@ -236,15 +317,13 @@ TEST(ServingFrontEnd, OverloadShedsWithTypedRejectsNeverHangs) {
   pcfg.threads = 2;
   QueryPipeline pipeline(engine, backend, pcfg);
 
-  ServingConfig scfg = frozen_config();
+  ServingConfig scfg;
   scfg.queue_capacity = 4;
-  scfg.max_in_flight = 2;
-  scfg.max_batch = 2;
   ServingFrontEnd fe(pipeline, scfg);
 
-  // Submission is instant, service is not: with a 4-deep queue and 2 in
-  // flight, a burst of 200 must hit kQueueFull — typed, counted, and
-  // without ever blocking the submitter.
+  // Submission is instant, service is not: with 4 unclaimed seeds allowed
+  // and 2 workers, a burst of 200 must hit kQueueFull — typed, counted,
+  // and without ever blocking the submitter.
   std::size_t admitted = 0;
   std::size_t queue_full = 0;
   for (int i = 0; i < 200; ++i) {
@@ -282,14 +361,13 @@ TEST(ServingFrontEnd, ImpossibleDeadlineIsRejectedNotExecuted) {
   pcfg.threads = 2;
   QueryPipeline pipeline(engine, backend, pcfg);
 
-  ServingConfig scfg = frozen_config();
-  scfg.initial_service_estimate_seconds = 0.5;  // frozen: never learns down
-  ServingFrontEnd fe(pipeline, scfg);
+  ServingFrontEnd fe(pipeline, ServingConfig{});
 
-  const Admission a = fe.submit(7, 0, 0.001);  // 1ms budget vs 500ms service
+  // 1 ms against the 5 ms service estimate held before any completion.
+  const Admission a = fe.submit(7, 0, 0.001);
   EXPECT_FALSE(a.admitted);
   EXPECT_EQ(a.reason, RejectReason::kDeadlineImpossible);
-  // Deadline 0 = none, negative = config default (also none here).
+  // Deadline 0 = none, which is also the default.
   EXPECT_TRUE(fe.submit(7, 0, 0.0).admitted);
   EXPECT_TRUE(fe.submit(7).admitted);
   EXPECT_THROW(fe.submit(7, /*tenant=*/5), std::invalid_argument);
@@ -299,32 +377,107 @@ TEST(ServingFrontEnd, ImpossibleDeadlineIsRejectedNotExecuted) {
   EXPECT_EQ(s.completed, 2u);
 }
 
-TEST(ServingFrontEnd, BatchFormationCutsByLatencyBudgetNotCount) {
+TEST(ServingFrontEnd, BadSeedOrDeadlineThrowsAtSubmitAndServingGoesOn) {
   const Graph& g = test_graph();
   Engine engine(g, small_config());
   CpuBackend backend(0.85);
   PipelineConfig pcfg;
   pcfg.threads = 2;
   QueryPipeline pipeline(engine, backend, pcfg);
+  ServingFrontEnd fe(pipeline, ServingConfig{});
 
-  ServingConfig scfg = frozen_config();
-  scfg.initial_service_estimate_seconds = 0.01;
-  scfg.batch_budget_seconds = 0.03;  // frozen estimate → at most 3 per batch
-  scfg.max_batch = 64;               // the count cap would allow far more
-  scfg.queue_capacity = 512;
+  // Caller misuse throws at submit(); admitted, a bad seed would throw on
+  // its worker and end the pipeline for every tenant.
+  EXPECT_THROW(fe.submit(5'000'000), std::invalid_argument);
+  EXPECT_THROW(fe.submit(static_cast<graph::NodeId>(g.num_nodes())),
+               std::invalid_argument);
+  EXPECT_THROW(fe.submit(7, 0, -1.0), std::invalid_argument);
+  EXPECT_THROW(fe.submit(7, 0, std::nan("")), std::invalid_argument);
+
+  const Admission a = fe.submit(7);
+  EXPECT_TRUE(a.admitted);
+  const std::vector<ServedQuery> served = fe.drain();
+  ASSERT_EQ(served.size(), 1u);
+  EXPECT_EQ(served[0].status, ServeStatus::kOk);
+  expect_bit_identical(served[0].result, engine.query(7), 7);
+  const ServingStats s = fe.stats();
+  EXPECT_EQ(s.submitted, 1u);  // misuse is not load: nothing was counted
+  EXPECT_EQ(s.completed, 1u);
+  expect_conserved(s);
+  fe.shutdown();
+}
+
+TEST(ServingFrontEnd, ClaimsRoundRobinAcrossTenantsExactly) {
+  const Graph& g = test_graph();
+  Engine engine(g, small_config());
+  GateBackend gate;
+  PipelineConfig pcfg;
+  pcfg.threads = 1;
+  QueryPipeline pipeline(engine, gate, pcfg);
+  ServingConfig scfg;
+  scfg.tenants = 2;
   ServingFrontEnd fe(pipeline, scfg);
 
-  for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(fe.submit(static_cast<graph::NodeId>((i * 11) % 500)).admitted);
+  EXPECT_TRUE(fe.submit(3, 0).admitted);
+  gate.wait_until_held();  // the one worker is inside that query
+  for (graph::NodeId i = 0; i < 8; ++i) {
+    EXPECT_TRUE(fe.submit(10 + i, 0).admitted);
   }
-  (void)fe.drain();
-  const ServingStats s = fe.stats();
-  EXPECT_EQ(s.completed, 60u);
-  EXPECT_GE(s.max_batch_size, 1u);
-  EXPECT_LE(s.max_batch_size, 3u)
-      << "the budget cut must bound batches at budget/estimate, not max_batch";
-  EXPECT_GE(s.batches_formed, 60u / 3u);
+  for (graph::NodeId i = 0; i < 3; ++i) {
+    EXPECT_TRUE(fe.submit(100 + i, 1).admitted);
+  }
+  gate.release();
+
+  // One worker finishes each query before it claims the next, so the
+  // completion order is the claim order. The held query was tenant 0's,
+  // so claims resume at tenant 1 and alternate until tenant 1 runs dry.
+  std::vector<std::size_t> order;
+  for (const ServedQuery& sq : fe.drain()) order.push_back(sq.tenant);
+  const std::vector<std::size_t> want = {0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(order, want);
   fe.shutdown();
+}
+
+TEST(ServingFrontEnd, ExpiredSeedIsShedAtClaimNeverExecuted) {
+  const Graph& g = test_graph();
+  Engine engine(g, small_config());
+  GateBackend gate;
+  PipelineConfig pcfg;
+  pcfg.threads = 1;
+  QueryPipeline pipeline(engine, gate, pcfg);
+  ServingFrontEnd fe(pipeline, ServingConfig{});
+
+  const Admission held = fe.submit(3);
+  EXPECT_TRUE(held.admitted);
+  gate.wait_until_held();
+  // 20 ms passes admission: nothing has completed, so the service estimate
+  // is still its 5 ms initial value.
+  const Admission late = fe.submit(7, 0, 0.020);
+  EXPECT_TRUE(late.admitted);
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  gate.release();
+
+  const std::vector<ServedQuery> served = fe.drain();
+  ASSERT_EQ(served.size(), 2u);
+  const ServedQuery& ran = served[0].ticket == held.ticket ? served[0]
+                                                           : served[1];
+  const ServedQuery& shed = served[0].ticket == late.ticket ? served[0]
+                                                            : served[1];
+  EXPECT_EQ(ran.ticket, held.ticket);
+  EXPECT_EQ(shed.ticket, late.ticket);
+  EXPECT_EQ(ran.status, ServeStatus::kOk);
+  EXPECT_EQ(shed.status, ServeStatus::kShedDeadline);
+  EXPECT_TRUE(shed.result.top.empty());
+  EXPECT_FALSE(shed.deadline_met);
+  // Every backend run belongs to the held query: the shed never ran.
+  EXPECT_EQ(gate.runs(), ran.result.stats.total_balls());
+
+  const ServingStats s = fe.stats();
+  EXPECT_EQ(s.shed_deadline, 1u);
+  EXPECT_EQ(s.completed, 1u);
+  expect_conserved(s);
+  fe.shutdown();
+  EXPECT_EQ(fe.pipeline_stats().queries, 1u);  // a shed is not a query
 }
 
 TEST(ServingFrontEnd, FairQueueingKeepsFloodedTenantFromStarvingOthers) {
@@ -335,11 +488,9 @@ TEST(ServingFrontEnd, FairQueueingKeepsFloodedTenantFromStarvingOthers) {
   pcfg.threads = 2;
   QueryPipeline pipeline(engine, backend, pcfg);
 
-  ServingConfig scfg = frozen_config();
+  ServingConfig scfg;
   scfg.tenants = 2;
   scfg.queue_capacity = 512;
-  scfg.max_in_flight = 2;  // force a standing queue so formation order shows
-  scfg.max_batch = 2;
   ServingFrontEnd fe(pipeline, scfg);
 
   // Tenant 0 floods 60 queries, tenant 1 trickles 6 — all submitted before
@@ -363,8 +514,8 @@ TEST(ServingFrontEnd, FairQueueingKeepsFloodedTenantFromStarvingOthers) {
         std::max(sq.tenant == 1 ? max_wait_t1 : max_wait_t0,
                  sq.queue_seconds);
   }
-  // Round-robin dispatches tenant 1's 6 queries within the first ~12
-  // slots; tenant 0's tail waits behind its own flood. Strictly less —
+  // Round-robin claims tenant 1's 6 queries within the first ~12 slots;
+  // tenant 0's tail waits behind its own flood. Strictly less —
   // with a 10x queue-depth gap the margin is enormous.
   EXPECT_LT(max_wait_t1, max_wait_t0)
       << "the flooded tenant's tail must wait longer than the trickle's";
@@ -378,13 +529,13 @@ TEST(ServingFrontEnd, FairQueueingKeepsFloodedTenantFromStarvingOthers) {
 TEST(ServingFrontEnd, PipelineErrorSurfacesThroughDrainNotAHang) {
   const Graph& g = test_graph();
   Engine engine(g, small_config());
-  CpuBackend backend(0.85);
+  ThrowingBackend backend;
   PipelineConfig pcfg;
   pcfg.threads = 2;
   QueryPipeline pipeline(engine, backend, pcfg);
 
-  ServingFrontEnd fe(pipeline, frozen_config());
-  ASSERT_TRUE(fe.submit(5'000'000).admitted);  // out-of-range: worker throws
+  ServingFrontEnd fe(pipeline, ServingConfig{});
+  ASSERT_TRUE(fe.submit(5).admitted);  // its worker's backend throws
   EXPECT_ANY_THROW(fe.drain());
   // Post-mortem: intake rejects typed, shutdown is clean (the error was
   // already delivered once, so it is not thrown again).
@@ -398,12 +549,6 @@ TEST(ServingFrontEnd, ConfigValidationRejectsNonsense) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = ServingConfig{};
   cfg.queue_capacity = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = ServingConfig{};
-  cfg.service_estimate_ewma = 1.0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = ServingConfig{};
-  cfg.initial_service_estimate_seconds = 0.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   EXPECT_NO_THROW(ServingConfig{}.validate());
 }
@@ -422,7 +567,6 @@ TEST(ServingFrontEnd, ConcurrentProducerHammerConservesEverything) {
   ServingConfig scfg;
   scfg.tenants = 3;
   scfg.queue_capacity = 64;
-  scfg.default_deadline_seconds = 0.0;
   ServingFrontEnd fe(pipeline, scfg);
 
   const std::size_t per_producer = test::stress_iters(120);
